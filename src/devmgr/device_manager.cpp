@@ -72,13 +72,6 @@ void retire_task_storage(Task& task) {
 
 }  // namespace
 
-// See device_manager.h: one instance per task on the worker's stack.
-struct CompletionBatch {
-  std::shared_ptr<net::Connection> connection;
-  bool resolved = false;  // connection lookup done (session may be gone)
-  std::vector<net::Completion> staged;
-};
-
 DeviceManager::DeviceManager(DeviceManagerConfig config, sim::Board* board,
                              shm::Namespace* node_shm)
     : config_(std::move(config)),
@@ -145,13 +138,11 @@ std::size_t DeviceManager::session_count() const {
 }
 
 std::uint64_t DeviceManager::tasks_executed() const {
-  std::lock_guard lock(state_mutex_);
-  return tasks_executed_;
+  return tasks_executed_.load();
 }
 
 std::uint64_t DeviceManager::ops_executed() const {
-  std::lock_guard lock(state_mutex_);
-  return ops_executed_;
+  return ops_executed_.load();
 }
 
 std::vector<DeviceManager::ExecutionRecord> DeviceManager::execution_journal()
@@ -193,10 +184,10 @@ Result<DeviceManager::HealthSnapshot> DeviceManager::health() {
   HealthSnapshot snapshot;
   snapshot.queue_depth = scheduler_->size();
   snapshot.accepting = true;
+  snapshot.ops_executed = ops_executed_.load();
   {
     std::lock_guard lock(state_mutex_);
     snapshot.sessions = sessions_.size();
-    snapshot.ops_executed = ops_executed_;
   }
   health_probes_counter_->increment();
   queue_depth_gauge_->set(static_cast<double>(snapshot.queue_depth));
@@ -204,8 +195,7 @@ Result<DeviceManager::HealthSnapshot> DeviceManager::health() {
 }
 
 std::uint64_t DeviceManager::tasks_cancelled() const {
-  std::lock_guard lock(state_mutex_);
-  return tasks_cancelled_;
+  return tasks_cancelled_.load();
 }
 
 std::string DeviceManager::segment_name(std::uint64_t session_id) const {
@@ -463,7 +453,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       proto::HealthResp resp;
       resp.queue_depth = scheduler_->size();
       resp.sessions = sessions_.size();
-      resp.ops_executed = ops_executed_;
+      resp.ops_executed = ops_executed_.load();
       resp.accepting = !shutdown_.load();
       health_probes_counter_->increment();
       queue_depth_gauge_->set(static_cast<double>(resp.queue_depth));
@@ -688,10 +678,10 @@ void DeviceManager::worker_loop() {
       // shaken (the sanitizers' favorite food).
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    if (next.batch.empty()) {
-      execute_task(*next.task);
+    if (next.task->is_program) {
+      execute_program(*next.task);  // a barrier: never batched
     } else {
-      execute_batch(*next.task, next.batch);
+      execute_tasks(*next.task, next.batch);
     }
     retire_task_storage(*next.task);
     for (Task& companion : next.batch) {
@@ -700,553 +690,197 @@ void DeviceManager::worker_loop() {
   }
 }
 
-void DeviceManager::execute_task(const Task& task) {
-  if (task.is_program) {
-    if (fault::should_fire(fault::site::kDevmgrReconfigAbort)) {
-      // Aborted before the board was touched: resident image and every
-      // client buffer stay intact, the requester sees a terminal status.
-      task.program_waiter->complete(
-          Aborted("injected fault: reconfiguration aborted"), task.ready);
-      return;
-    }
-    const sim::Bitstream* bitstream =
-        sim::BitstreamLibrary::standard().find(task.bitstream_id);
-    if (bitstream == nullptr) {
-      task.program_waiter->complete(
-          NotFound("unknown bitstream '" + task.bitstream_id + "'"),
-          task.ready);
-      return;
-    }
-    // ensure_accelerator dedupes racing program requests (no-op when the
-    // image is already resident), uses a partial-reconfiguration region in
-    // space-sharing mode, and falls back to a full reprogram otherwise.
-    bool wiped_memory = false;
-    auto interval =
-        board_->ensure_accelerator(*bitstream, task.ready, &wiped_memory);
-    if (!interval.ok()) {
-      task.program_waiter->complete(interval.status(), task.ready);
-      return;
-    }
-    if (wiped_memory) {
-      // Full reconfiguration wiped DDR: every client's buffers are gone.
-      std::lock_guard lock(state_mutex_);
-      for (auto& [id, session] : sessions_) {
-        session.buffers.clear();
-      }
-    }
-    if (interval.value().end > interval.value().start) {
-      reconfig_counter_->increment();
-    }
-    task.program_waiter->complete(Status::Ok(), interval.value().end);
+void DeviceManager::execute_program(const Task& task) {
+  if (fault::should_fire(fault::site::kDevmgrReconfigAbort)) {
+    // Aborted before the board was touched: resident image and every
+    // client buffer stay intact, the requester sees a terminal status.
+    task.program_waiter->complete(
+        Aborted("injected fault: reconfiguration aborted"), task.ready);
     return;
   }
-
-  std::string client_id;
-  {
+  const sim::Bitstream* bitstream =
+      sim::BitstreamLibrary::standard().find(task.bitstream_id);
+  if (bitstream == nullptr) {
+    task.program_waiter->complete(
+        NotFound("unknown bitstream '" + task.bitstream_id + "'"), task.ready);
+    return;
+  }
+  // ensure_accelerator dedupes racing program requests (no-op when the
+  // image is already resident), uses a partial-reconfiguration region in
+  // space-sharing mode, and falls back to a full reprogram otherwise.
+  bool wiped_memory = false;
+  auto interval =
+      board_->ensure_accelerator(*bitstream, task.ready, &wiped_memory);
+  if (!interval.ok()) {
+    task.program_waiter->complete(interval.status(), task.ready);
+    return;
+  }
+  if (wiped_memory) {
+    // Full reconfiguration wiped DDR: every client's buffers are gone.
     std::lock_guard lock(state_mutex_);
-    auto session_it = sessions_.find(task.session_id);
-    if (session_it != sessions_.end()) {
-      client_id = session_it->second.client_id;
+    for (auto& [id, session] : sessions_) {
+      session.buffers.clear();
     }
   }
-  // Completions are staged per op and delivered once at the end of the
-  // task: one consumer wake instead of one per op. Safe because the worker
-  // never depends on the client observing an earlier op mid-task, and the
-  // frame stamps (and the gate wake bounds anchored inside notify_batch)
-  // are identical to per-op delivery.
-  CompletionBatch batch;
-  // Request context for the task's spans: ops of one task come from one
-  // request in practice (each invocation seals its own flush), so the first
-  // traced op carries it. Only *successful* ops earn spans — aborted,
-  // poisoned or cancelled ops leave no trace (a tested invariant).
-  trace::SpanContext request_ctx;
-  for (const Operation& op : task.ops) {
-    if (op.trace.is_valid()) {
-      request_ctx = op.trace;
-      break;
-    }
+  if (interval.value().end > interval.value().start) {
+    reconfig_counter_->increment();
   }
-  const bool traced = request_ctx.is_valid() && trace::enabled();
-  struct ExecutedOp {
-    const Operation* op;
-    sim::Board::Interval interval;
-  };
-  std::vector<ExecutedOp> executed;
-  vt::Time cursor = task.ready;
-  // Task-level spans: "task" = FIFO admission to last op completion, split
-  // into "queue-wait" (admission to first device activity — the paper's
-  // central-queue delay) and "execute", with one "op:<kind>" span per
-  // successful operation. By construction queue-wait + execute == task.
-  // Emitted *before* the final op's completion is notified: the client
-  // woken by that completion may immediately tear the scenario down (and
-  // uninstall the trace sink), so every span must reach the builder first.
-  auto record_task_spans = [&] {
-    if (!traced || executed.empty()) return;
-    vt::Time exec_start = executed.front().interval.start;
-    vt::Time task_end = exec_start;
-    for (const ExecutedOp& rec : executed) {
-      if (rec.interval.start < exec_start) exec_start = rec.interval.start;
-      if (rec.interval.end > task_end) task_end = rec.interval.end;
-    }
-    // Salt from the queue's *deterministic* ordering key (ready stamp +
-    // client), never task.seq: the admission counter is assigned under real
-    // thread races, and golden traces must be byte-identical across runs.
-    const trace::SpanContext task_ctx = request_ctx.child(
-        trace::salt::kTask ^
-        trace::mix64(static_cast<std::uint64_t>(task.ready.ns())) ^
-        trace::fnv1a(task.client_id));
-    const trace::SpanContext wait_ctx =
-        task_ctx.child(trace::salt::kQueueWait);
-    const trace::SpanContext exec_ctx = task_ctx.child(trace::salt::kExecute);
-    trace::record(trace::Span{config_.id, "task", task.ready, task_end,
-                              task_ctx.trace_id, task_ctx.span_id,
-                              request_ctx.span_id});
-    trace::record(trace::Span{config_.id, "queue-wait", task.ready,
-                              exec_start, wait_ctx.trace_id, wait_ctx.span_id,
-                              task_ctx.span_id});
-    trace::record(trace::Span{config_.id, "execute", exec_start, task_end,
-                              exec_ctx.trace_id, exec_ctx.span_id,
-                              task_ctx.span_id});
-    for (const ExecutedOp& rec : executed) {
-      const Operation& op = *rec.op;
-      if (op.kind == Operation::Kind::kFinish) continue;  // zero-width marker
-      const char* kind = op.kind == Operation::Kind::kWrite  ? "op:write"
-                         : op.kind == Operation::Kind::kRead ? "op:read"
-                                                             : "op:kernel";
-      const trace::SpanContext op_ctx =
-          op.trace.child(trace::salt::kOp ^ op.op_id);
-      trace::record(trace::Span{config_.id, kind, rec.interval.start,
-                                rec.interval.end, op_ctx.trace_id,
-                                op_ctx.span_id, exec_ctx.span_id});
-    }
-  };
-  bool abort_rest = false;
-  for (const Operation& op : task.ops) {
-    proto::OpComplete completion;
-    completion.op_id = op.op_id;
-    if (!abort_rest && fault::should_fire(fault::site::kDevmgrTaskAbort)) {
-      abort_rest = true;
-    }
-    if (abort_rest) {
-      // Mid-task shutdown: this op and everything after it in the task is
-      // failed with a terminal status (earlier ops' effects stand) — no
-      // event may be left dangling in FIRST/BUFFER.
-      completion.status = proto::StatusMsg::from(
-          Aborted("injected fault: mid-task shutdown"));
-      {
-        std::lock_guard lock(state_mutex_);
-        ++ops_executed_;
-        if (&op == &task.ops.back()) ++tasks_executed_;
-      }
-      ops_counter_->increment();
-      if (&op == &task.ops.back()) {
-        tasks_counter_->increment();
-        record_task_spans();  // spans for the successful prefix, if any
-      }
-      stage_completion(batch, task.session_id, op.op_id, completion,
-                       cursor);
-      continue;
-    }
-    // Event wait list: delay the op's readiness to its dependencies'
-    // completions. A dependency whose command was never flushed is a
-    // client-side ordering error (OpenCL would deadlock; we fail fast).
-    Status wait_status;
-    vt::Time op_ready = cursor;
-    if (!op.wait_op_ids.empty()) {
-      std::lock_guard lock(state_mutex_);
-      auto session_it = sessions_.find(task.session_id);
-      for (std::uint64_t wait_id : op.wait_op_ids) {
-        if (session_it == sessions_.end()) break;
-        auto done = session_it->second.completed_ops.find(wait_id);
-        if (done == session_it->second.completed_ops.end()) {
-          wait_status = FailedPrecondition(
-              "wait-list op " + std::to_string(wait_id) +
-              " has not completed (flush its queue first)");
-          break;
-        }
-        op_ready = vt::max(op_ready, done->second);
-      }
-    }
-    if (!wait_status.ok()) {
-      completion.status = proto::StatusMsg::from(wait_status);
-      if (&op == &task.ops.back()) record_task_spans();
-      stage_completion(batch, task.session_id, op.op_id, completion,
-                       cursor);
-      {
-        std::lock_guard lock(state_mutex_);
-        ++ops_executed_;
-        if (&op == &task.ops.back()) ++tasks_executed_;
-      }
-      ops_counter_->increment();
-      if (&op == &task.ops.back()) tasks_counter_->increment();
-      continue;
-    }
-    auto interval =
-        execute_operation(task.session_id, op, op_ready, completion);
-    if (interval.ok()) {
-      cursor = interval.value().end;
-      if (traced) executed.push_back(ExecutedOp{&op, interval.value()});
-      completion.status = proto::StatusMsg::from(Status::Ok());
-      std::lock_guard lock(state_mutex_);
-      if (interval.value().end > interval.value().start) {
-        busy_records_.push_back(BusyRecord{client_id, interval.value()});
-      }
-      auto session_it = sessions_.find(task.session_id);
-      if (session_it != sessions_.end()) {
-        session_it->second.completed_ops[op.op_id] = interval.value().end;
-      }
-    } else {
-      completion.status = proto::StatusMsg::from(interval.status());
-    }
-    // Account before notifying: a client woken by the completion must
-    // observe the op as executed.
-    {
-      std::lock_guard lock(state_mutex_);
-      ++ops_executed_;
-      if (&op == &task.ops.back()) ++tasks_executed_;
-    }
-    ops_counter_->increment();
-    if (&op == &task.ops.back()) {
-      tasks_counter_->increment();
-      // The exemplar lets an operator jump from a slow histogram bucket to
-      // the exact trace that landed in it.
-      task_span_ms_->observe((cursor - task.ready).ms(),
-                             request_ctx.trace_id);
-      busy_ms_gauge_->set(board_->busy_total().ms());
-      record_task_spans();
-    }
-    stage_completion(batch, task.session_id, op.op_id, completion,
-                     cursor);
-  }
-  flush_completions(batch);
+  task.program_waiter->complete(Status::Ok(), interval.value().end);
 }
 
-void DeviceManager::execute_batch(const Task& lead,
+void DeviceManager::execute_tasks(const Task& lead,
                                   const std::vector<Task>& companions) {
-  // The scheduler only coalesces batchable tasks: one dependency-free kernel
-  // launch each (devmgr/scheduler.h), so the wait-list and program paths of
-  // execute_task cannot occur here. Phase A runs every task's pre-kernel
-  // transfers in batch order, the kernel launches execute as one board pass,
-  // and phase C runs the post-kernel ops — preserving each client's op order
-  // and the per-op completion/metrics/span semantics of execute_task.
-  struct ExecutedOp {
-    const Operation* op;
-    sim::Board::Interval interval;
-  };
-  struct Item {
-    const Task* task = nullptr;
-    std::string client_id;
-    trace::SpanContext request_ctx;
-    bool traced = false;
-    std::vector<ExecutedOp> executed;
-    vt::Time cursor;
-    bool abort_rest = false;
-    std::size_t kernel_index = 0;
-    CompletionBatch net_batch;  // per-task staging, one wake per client
-  };
-  std::vector<Item> items;
-  items.reserve(1 + companions.size());
-  auto add_item = [&](const Task& task) {
-    Item item;
-    item.task = &task;
-    item.cursor = task.ready;
-    {
-      std::lock_guard lock(state_mutex_);
-      auto session_it = sessions_.find(task.session_id);
-      if (session_it != sessions_.end()) {
-        item.client_id = session_it->second.client_id;
+  const std::size_t count = 1 + companions.size();
+  if (runs_.size() < count) runs_.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    TaskRun& run = runs_[i];
+    const Task& task = i == 0 ? lead : companions[i - 1];
+    run.task = &task;
+    run.request_ctx = trace::SpanContext{};
+    run.cursor = task.ready;
+    run.abort_rest = false;
+    run.kernel_index = 0;
+    run.staged.clear();
+    run.executed.clear();
+    // Request context for the task's spans: ops of one task come from one
+    // request in practice (each invocation seals its own flush), so the
+    // first traced op carries it.
+    for (std::size_t k = 0; k < task.ops.size(); ++k) {
+      const Operation& op = task.ops[k];
+      if (op.kind == Operation::Kind::kKernel) run.kernel_index = k;
+      if (!run.request_ctx.is_valid() && op.trace.is_valid()) {
+        run.request_ctx = op.trace;
       }
     }
-    for (std::size_t i = 0; i < task.ops.size(); ++i) {
-      const Operation& op = task.ops[i];
-      if (op.kind == Operation::Kind::kKernel) item.kernel_index = i;
-      if (!item.request_ctx.is_valid() && op.trace.is_valid()) {
-        item.request_ctx = op.trace;
-      }
-    }
-    item.traced = item.request_ctx.is_valid() && trace::enabled();
-    items.push_back(std::move(item));
-  };
-  add_item(lead);
-  for (const Task& companion : companions) add_item(companion);
-
-  auto record_task_spans = [&](Item& item) {
-    if (!item.traced || item.executed.empty()) return;
-    const Task& task = *item.task;
-    vt::Time exec_start = item.executed.front().interval.start;
-    vt::Time task_end = exec_start;
-    for (const ExecutedOp& rec : item.executed) {
-      if (rec.interval.start < exec_start) exec_start = rec.interval.start;
-      if (rec.interval.end > task_end) task_end = rec.interval.end;
-    }
-    const trace::SpanContext task_ctx = item.request_ctx.child(
-        trace::salt::kTask ^
-        trace::mix64(static_cast<std::uint64_t>(task.ready.ns())) ^
-        trace::fnv1a(task.client_id));
-    const trace::SpanContext wait_ctx =
-        task_ctx.child(trace::salt::kQueueWait);
-    const trace::SpanContext exec_ctx = task_ctx.child(trace::salt::kExecute);
-    trace::record(trace::Span{config_.id, "task", task.ready, task_end,
-                              task_ctx.trace_id, task_ctx.span_id,
-                              item.request_ctx.span_id});
-    trace::record(trace::Span{config_.id, "queue-wait", task.ready,
-                              exec_start, wait_ctx.trace_id, wait_ctx.span_id,
-                              task_ctx.span_id});
-    trace::record(trace::Span{config_.id, "execute", exec_start, task_end,
-                              exec_ctx.trace_id, exec_ctx.span_id,
-                              task_ctx.span_id});
-    for (const ExecutedOp& rec : item.executed) {
-      const Operation& op = *rec.op;
-      if (op.kind == Operation::Kind::kFinish) continue;  // zero-width marker
-      const char* kind = op.kind == Operation::Kind::kWrite  ? "op:write"
-                         : op.kind == Operation::Kind::kRead ? "op:read"
-                                                             : "op:kernel";
-      const trace::SpanContext op_ctx =
-          op.trace.child(trace::salt::kOp ^ op.op_id);
-      trace::record(trace::Span{config_.id, kind, rec.interval.start,
-                                rec.interval.end, op_ctx.trace_id,
-                                op_ctx.span_id, exec_ctx.span_id});
-    }
-  };
-
-  auto fail_op_aborted = [&](Item& item, const Operation& op) {
-    proto::OpComplete completion;
-    completion.op_id = op.op_id;
-    completion.status =
-        proto::StatusMsg::from(Aborted("injected fault: mid-task shutdown"));
-    {
-      std::lock_guard lock(state_mutex_);
-      ++ops_executed_;
-      if (&op == &item.task->ops.back()) ++tasks_executed_;
-    }
-    ops_counter_->increment();
-    if (&op == &item.task->ops.back()) {
-      tasks_counter_->increment();
-      record_task_spans(item);  // spans for the successful prefix, if any
-    }
-    stage_completion(item.net_batch, item.task->session_id, op.op_id,
-                     completion, item.cursor);
-  };
-
-  auto complete_op = [&](Item& item, const Operation& op,
-                         const Result<sim::Board::Interval>& interval,
-                         proto::OpComplete& completion) {
-    const Task& task = *item.task;
-    if (interval.ok()) {
-      item.cursor = interval.value().end;
-      if (item.traced) {
-        item.executed.push_back(ExecutedOp{&op, interval.value()});
-      }
-      completion.status = proto::StatusMsg::from(Status::Ok());
-      std::lock_guard lock(state_mutex_);
-      if (interval.value().end > interval.value().start) {
-        busy_records_.push_back(BusyRecord{item.client_id, interval.value()});
-      }
-      auto session_it = sessions_.find(task.session_id);
-      if (session_it != sessions_.end()) {
-        session_it->second.completed_ops[op.op_id] = interval.value().end;
-      }
-    } else {
-      completion.status = proto::StatusMsg::from(interval.status());
-    }
-    {
-      std::lock_guard lock(state_mutex_);
-      ++ops_executed_;
-      if (&op == &task.ops.back()) ++tasks_executed_;
-    }
-    ops_counter_->increment();
-    if (&op == &task.ops.back()) {
-      tasks_counter_->increment();
-      task_span_ms_->observe((item.cursor - task.ready).ms(),
-                             item.request_ctx.trace_id);
-      busy_ms_gauge_->set(board_->busy_total().ms());
-      record_task_spans(item);
-    }
-    stage_completion(item.net_batch, task.session_id, op.op_id, completion,
-                     item.cursor);
-  };
-
-  auto run_op = [&](Item& item, const Operation& op) {
-    if (!item.abort_rest &&
-        fault::should_fire(fault::site::kDevmgrTaskAbort)) {
-      item.abort_rest = true;
-    }
-    if (item.abort_rest) {
-      fail_op_aborted(item, op);
-      return;
-    }
-    proto::OpComplete completion;
-    completion.op_id = op.op_id;
-    auto interval =
-        execute_operation(item.task->session_id, op, item.cursor, completion);
-    complete_op(item, op, interval, completion);
-  };
-
-  // Phase A: pre-kernel transfers, batch order.
-  for (Item& item : items) {
-    for (std::size_t i = 0; i < item.kernel_index; ++i) {
-      run_op(item, item.task->ops[i]);
-    }
+    run.traced = run.request_ctx.is_valid() && trace::enabled();
   }
 
-  // The coalesced kernel pass: one launch overhead for the whole batch. A
-  // task aborted or failed during phase A drops out; its kernel op fails.
-  std::vector<Item*> live;
-  std::vector<sim::KernelLaunch> launches;
-  vt::Time pass_ready = vt::Time::zero();
-  for (Item& item : items) {
-    const Operation& op = item.task->ops[item.kernel_index];
-    if (!item.abort_rest &&
-        fault::should_fire(fault::site::kDevmgrTaskAbort)) {
-      item.abort_rest = true;
+  if (count == 1) {
+    for (const Operation& op : lead.ops) run_op(runs_[0], op);
+  } else {
+    // The scheduler only coalesces batchable tasks: one dependency-free
+    // kernel launch each (devmgr/scheduler.h). Every task's pre-kernel
+    // transfers run in batch order, the launches execute as one board pass,
+    // then the post-kernel ops (reads, finish markers) — preserving each
+    // client's op order.
+    for (std::size_t i = 0; i < count; ++i) {
+      TaskRun& run = runs_[i];
+      for (std::size_t k = 0; k < run.kernel_index; ++k) {
+        run_op(run, run.task->ops[k]);
+      }
     }
-    if (item.abort_rest) {
-      fail_op_aborted(item, op);
-      continue;
+    // The coalesced pass: one launch overhead for the whole batch. A task
+    // aborted or failed before its kernel drops out; its kernel op fails.
+    live_.clear();
+    launches_.clear();
+    vt::Time pass_ready = vt::Time::zero();
+    for (std::size_t i = 0; i < count; ++i) {
+      TaskRun& run = runs_[i];
+      const Operation& op = run.task->ops[run.kernel_index];
+      OpInputs inputs;
+      if (Status ready = prepare_op(run, op, inputs); !ready.ok()) {
+        proto::OpComplete completion;
+        record_op(run, op, ready, completion);
+        continue;
+      }
+      live_.push_back(i);
+      launches_.push_back(std::move(inputs.launch));
+      pass_ready = vt::max(pass_ready, inputs.ready);
     }
-    auto launch = resolve_kernel(item.task->session_id, op);
-    if (!launch.ok()) {
-      proto::OpComplete completion;
-      completion.op_id = op.op_id;
-      complete_op(item, op, launch.status(), completion);
-      continue;
+    if (!live_.empty()) {
+      auto intervals = board_->run_kernel_batch(launches_, pass_ready);
+      for (std::size_t j = 0; j < live_.size(); ++j) {
+        TaskRun& run = runs_[live_[j]];
+        const Operation& op = run.task->ops[run.kernel_index];
+        proto::OpComplete completion;
+        if (intervals.ok()) {
+          record_op(run, op, intervals.value()[j], completion);
+        } else {
+          record_op(run, op, intervals.status(), completion);
+        }
+      }
     }
-    if (op.trace.is_valid()) {
-      launch.value().trace = op.trace.child(trace::salt::kOp ^ op.op_id);
-    }
-    live.push_back(&item);
-    launches.push_back(std::move(launch.value()));
-    pass_ready = vt::max(pass_ready, item.cursor);
-  }
-  if (!live.empty()) {
-    auto intervals = board_->run_kernel_batch(launches, pass_ready);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Item& item = *live[i];
-      const Operation& op = item.task->ops[item.kernel_index];
-      proto::OpComplete completion;
-      completion.op_id = op.op_id;
-      if (intervals.ok()) {
-        complete_op(item, op, intervals.value()[i], completion);
-      } else {
-        complete_op(item, op, intervals.status(), completion);
+    for (std::size_t i = 0; i < count; ++i) {
+      TaskRun& run = runs_[i];
+      for (std::size_t k = run.kernel_index + 1; k < run.task->ops.size();
+           ++k) {
+        run_op(run, run.task->ops[k]);
       }
     }
   }
 
-  // Phase C: post-kernel ops (reads, finish markers), batch order.
-  for (Item& item : items) {
-    for (std::size_t i = item.kernel_index + 1; i < item.task->ops.size();
-         ++i) {
-      run_op(item, item.task->ops[i]);
-    }
-  }
-
-  for (Item& item : items) {
-    flush_completions(item.net_batch);
-  }
+  // Spans and counters land before any completion is delivered: the client
+  // woken by its last completion may immediately tear the scenario down
+  // (and uninstall the trace sink), and must observe its ops as executed.
+  for (std::size_t i = 0; i < count; ++i) finish_task(runs_[i]);
+  // Completions are staged per op and delivered once per task: one
+  // consumer wake instead of one per op. Safe because the worker never
+  // depends on the client observing an earlier op mid-task, and the frame
+  // stamps (and the gate wake bounds anchored inside notify_batch) are
+  // identical to per-op delivery.
+  for (std::size_t i = 0; i < count; ++i) flush_completions(runs_[i]);
 }
 
-Result<sim::Board::Interval> DeviceManager::execute_operation(
-    std::uint64_t session_id, const Operation& op, vt::Time ready,
-    proto::OpComplete& completion) {
-  // Snapshot the session resources we need under the lock.
-  sim::MemHandle buffer;
-  std::shared_ptr<shm::Segment> segment;
-  {
-    std::lock_guard lock(state_mutex_);
-    auto session_it = sessions_.find(session_id);
-    if (session_it == sessions_.end()) {
-      return NotFound("session " + std::to_string(session_id) + " is gone");
-    }
-    segment = session_it->second.segment;
-    if (op.kind == Operation::Kind::kWrite ||
-        op.kind == Operation::Kind::kRead) {
-      auto buffer_it = session_it->second.buffers.find(op.buffer_id);
-      if (buffer_it == session_it->second.buffers.end()) {
-        return NotFound("unknown buffer " + std::to_string(op.buffer_id));
-      }
-      buffer = buffer_it->second;
-    }
+void DeviceManager::run_op(TaskRun& run, const Operation& op) {
+  proto::OpComplete completion;
+  OpInputs inputs;
+  if (Status ready = prepare_op(run, op, inputs); !ready.ok()) {
+    record_op(run, op, ready, completion);
+    return;
   }
-
-  switch (op.kind) {
-    case Operation::Kind::kWrite: {
-      if (!op.data_ready) {
-        return FailedPrecondition("write op " + std::to_string(op.op_id) +
-                                  " flushed before its data arrived");
-      }
-      if (op.use_shm) {
-        if (segment == nullptr) {
-          return FailedPrecondition("shm write without segment");
-        }
-        auto view = segment->view(op.shm_slot);
-        if (!view.ok()) return view.status();
-        auto written = board_->write(buffer, op.offset, view.value(), ready);
-        (void)segment->release(op.shm_slot);
-        return written;
-      }
-      return board_->write(buffer, op.offset, ByteSpan{op.inline_data},
-                           ready);
-    }
-    case Operation::Kind::kRead: {
-      if (op.use_shm) {
-        if (segment == nullptr) {
-          return FailedPrecondition("shm read without segment");
-        }
-        auto slot = segment->allocate(op.size);
-        if (!slot.ok()) return slot.status();
-        auto view = segment->writable_view(slot.value());
-        if (!view.ok()) return view.status();
-        auto interval = board_->read(buffer, op.offset, view.value(), ready);
-        if (!interval.ok()) {
-          (void)segment->release(slot.value());
-          return interval.status();
-        }
-        completion.shm_slot = slot.value();
-        completion.size = op.size;
-        return interval;
-      }
-      // Pooled read staging; no zero-fill needed because Board::read fully
-      // defines the span on success (zero-fill + copy-out; never-written
-      // device memory reads as zeros) and failures never ship `out`.
-      Bytes out = arena::acquire(op.size);
-      out.resize_for_overwrite(op.size);
-      auto interval = board_->read(
-          buffer, op.offset, MutableByteSpan{out}, ready);
-      if (!interval.ok()) return interval;
-      completion.data = std::move(out);
-      completion.size = op.size;
-      return interval;
-    }
-    case Operation::Kind::kKernel: {
-      auto launch = resolve_kernel(session_id, op);
-      if (!launch.ok()) return launch.status();
-      if (op.trace.is_valid()) {
-        // Same derivation as the "op:kernel" span in execute_task, so the
-        // board's kernel span nests under it.
-        launch.value().trace = op.trace.child(trace::salt::kOp ^ op.op_id);
-      }
-      return board_->run_kernel(launch.value(), ready);
-    }
-    case Operation::Kind::kFinish:
-      return sim::Board::Interval{ready, ready};
-  }
-  return Internal("unhandled operation kind");
+  record_op(run, op, execute_operation(op, inputs, completion), completion);
 }
 
-Result<sim::KernelLaunch> DeviceManager::resolve_kernel(
-    std::uint64_t session_id, const Operation& op) {
+Status DeviceManager::prepare_op(TaskRun& run, const Operation& op,
+                                 OpInputs& inputs) {
+  if (!run.abort_rest && fault::should_fire(fault::site::kDevmgrTaskAbort)) {
+    // Mid-task shutdown: this op and everything after it in the task is
+    // failed with a terminal status (earlier ops' effects stand) — no event
+    // may be left dangling in FIRST/BUFFER.
+    run.abort_rest = true;
+  }
+  inputs.ready = run.cursor;
   std::lock_guard lock(state_mutex_);
-  auto session_it = sessions_.find(session_id);
+  auto session_it = sessions_.find(run.task->session_id);
   if (session_it == sessions_.end()) {
-    return NotFound("session " + std::to_string(session_id) + " is gone");
+    return NotFound("session " + std::to_string(run.task->session_id) +
+                    " is gone");
   }
   Session& session = session_it->second;
+  if (run.connection == nullptr) run.connection = session.connection;
+  if (run.abort_rest) return Aborted("injected fault: mid-task shutdown");
+  // Event wait list: delay the op's readiness to its dependencies'
+  // completions. A dependency whose command was never flushed is a
+  // client-side ordering error (OpenCL would deadlock; we fail fast).
+  for (std::uint64_t wait_id : op.wait_op_ids) {
+    auto done = session.completed_ops.find(wait_id);
+    if (done == session.completed_ops.end()) {
+      return FailedPrecondition("wait-list op " + std::to_string(wait_id) +
+                                " has not completed (flush its queue first)");
+    }
+    inputs.ready = vt::max(inputs.ready, done->second);
+  }
+  switch (op.kind) {
+    case Operation::Kind::kWrite:
+    case Operation::Kind::kRead: {
+      auto buffer_it = session.buffers.find(op.buffer_id);
+      if (buffer_it == session.buffers.end()) {
+        return NotFound("unknown buffer " + std::to_string(op.buffer_id));
+      }
+      inputs.buffer = buffer_it->second;
+      inputs.segment = session.segment;
+      return Status::Ok();
+    }
+    case Operation::Kind::kKernel:
+      break;
+    case Operation::Kind::kFinish:
+      return Status::Ok();
+  }
   auto kernel_it = session.kernels.find(op.kernel_id);
   if (kernel_it == session.kernels.end()) {
     return NotFound("unknown kernel " + std::to_string(op.kernel_id));
   }
-  sim::KernelLaunch launch;
+  sim::KernelLaunch& launch = inputs.launch;
   launch.kernel = kernel_it->second;
   launch.global_size = op.global_size;
   launch.args.reserve(op.args.size());
@@ -1274,50 +908,189 @@ Result<sim::KernelLaunch> DeviceManager::resolve_kernel(
                                " is unset");
     }
   }
-  return launch;
+  if (op.trace.is_valid()) {
+    // Same derivation as the op's "op:kernel" span, so the board's kernel
+    // span nests under it.
+    launch.trace = op.trace.child(trace::salt::kOp ^ op.op_id);
+  }
+  return Status::Ok();
 }
 
-void DeviceManager::stage_completion(CompletionBatch& batch,
-                                     std::uint64_t session_id,
-                                     std::uint64_t op_id,
-                                     proto::OpComplete& completion,
-                                     vt::Time at) {
-  if (!batch.resolved) {
-    std::lock_guard lock(state_mutex_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) return;  // session already torn down
-    batch.connection = it->second.connection;
-    batch.resolved = true;
+Result<sim::Board::Interval> DeviceManager::execute_operation(
+    const Operation& op, const OpInputs& inputs,
+    proto::OpComplete& completion) {
+  const vt::Time ready = inputs.ready;
+  switch (op.kind) {
+    case Operation::Kind::kWrite: {
+      if (!op.data_ready) {
+        return FailedPrecondition("write op " + std::to_string(op.op_id) +
+                                  " flushed before its data arrived");
+      }
+      if (op.use_shm) {
+        if (inputs.segment == nullptr) {
+          return FailedPrecondition("shm write without segment");
+        }
+        auto view = inputs.segment->view(op.shm_slot);
+        if (!view.ok()) return view.status();
+        auto written =
+            board_->write(inputs.buffer, op.offset, view.value(), ready);
+        (void)inputs.segment->release(op.shm_slot);
+        return written;
+      }
+      return board_->write(inputs.buffer, op.offset, ByteSpan{op.inline_data},
+                           ready);
+    }
+    case Operation::Kind::kRead: {
+      if (op.use_shm) {
+        if (inputs.segment == nullptr) {
+          return FailedPrecondition("shm read without segment");
+        }
+        auto slot = inputs.segment->allocate(op.size);
+        if (!slot.ok()) return slot.status();
+        auto view = inputs.segment->writable_view(slot.value());
+        if (!view.ok()) return view.status();
+        auto interval =
+            board_->read(inputs.buffer, op.offset, view.value(), ready);
+        if (!interval.ok()) {
+          (void)inputs.segment->release(slot.value());
+          return interval.status();
+        }
+        completion.shm_slot = slot.value();
+        completion.size = op.size;
+        return interval;
+      }
+      // Pooled read staging; no zero-fill needed because Board::read fully
+      // defines the span on success (zero-fill + copy-out; never-written
+      // device memory reads as zeros) and failures never ship `out`.
+      Bytes out = arena::acquire(op.size);
+      out.resize_for_overwrite(op.size);
+      auto interval = board_->read(inputs.buffer, op.offset,
+                                   MutableByteSpan{out}, ready);
+      if (!interval.ok()) return interval;
+      completion.data = std::move(out);
+      completion.size = op.size;
+      return interval;
+    }
+    case Operation::Kind::kKernel:
+      return board_->run_kernel(inputs.launch, ready);
+    case Operation::Kind::kFinish:
+      return sim::Board::Interval{ready, ready};
   }
-  if (batch.connection == nullptr) return;
+  return Internal("unhandled operation kind");
+}
+
+void DeviceManager::record_op(TaskRun& run, const Operation& op,
+                              const Result<sim::Board::Interval>& interval,
+                              proto::OpComplete& completion) {
+  completion.op_id = op.op_id;
+  if (interval.ok()) {
+    const sim::Board::Interval& occupied = interval.value();
+    run.cursor = occupied.end;
+    if (run.traced) run.executed.push_back(ExecutedOp{&op, occupied});
+    completion.status = proto::StatusMsg::from(Status::Ok());
+    std::lock_guard lock(state_mutex_);
+    if (occupied.end > occupied.start) {
+      busy_records_.push_back(BusyRecord{run.task->client_id, occupied});
+    }
+    auto session_it = sessions_.find(run.task->session_id);
+    if (session_it != sessions_.end()) {
+      session_it->second.completed_ops[op.op_id] = occupied.end;
+    }
+  } else {
+    completion.status = proto::StatusMsg::from(interval.status());
+  }
+  if (run.connection == nullptr) return;  // session already torn down
   net::Completion staged;
-  staged.correlation = op_id;
+  staged.correlation = op.op_id;
   staged.payload = encode(completion);
-  staged.server_time = at;
+  staged.server_time = run.cursor;
   // encode() copied the read payload into the frame; its buffer goes back
   // to the pool instead of the heap.
   if (completion.data.is_heap()) {
     arena::recycle(std::move(completion.data));
   }
-  batch.staged.push_back(std::move(staged));
+  run.staged.push_back(std::move(staged));
 }
 
-void DeviceManager::flush_completions(CompletionBatch& batch) {
-  if (batch.staged.empty()) return;
-  if (batch.connection == nullptr || batch.connection->closed()) {
+void DeviceManager::finish_task(const TaskRun& run) {
+  const Task& task = *run.task;
+  tasks_executed_.fetch_add(1);
+  ops_executed_.fetch_add(task.ops.size());
+  tasks_counter_->increment();
+  ops_counter_->increment(static_cast<double>(task.ops.size()));
+  // Once per task, aborted or failed ones included. The exemplar lets an
+  // operator jump from a slow histogram bucket to the exact trace that
+  // landed in it.
+  task_span_ms_->observe((run.cursor - task.ready).ms(),
+                         run.request_ctx.trace_id);
+  busy_ms_gauge_->set(board_->busy_total().ms());
+  record_task_spans(run);
+}
+
+// Task-level spans: "task" = FIFO admission to last op completion, split
+// into "queue-wait" (admission to first device activity — the paper's
+// central-queue delay) and "execute", with one "op:<kind>" span per
+// successful operation. By construction queue-wait + execute == task. Only
+// *successful* ops earn spans — aborted, poisoned or cancelled ops leave no
+// trace (a tested invariant).
+void DeviceManager::record_task_spans(const TaskRun& run) {
+  if (!run.traced || run.executed.empty()) return;
+  const Task& task = *run.task;
+  vt::Time exec_start = run.executed.front().interval.start;
+  vt::Time task_end = exec_start;
+  for (const ExecutedOp& rec : run.executed) {
+    if (rec.interval.start < exec_start) exec_start = rec.interval.start;
+    if (rec.interval.end > task_end) task_end = rec.interval.end;
+  }
+  // Salt from the queue's *deterministic* ordering key (ready stamp +
+  // client), never task.seq: the admission counter is assigned under real
+  // thread races, and golden traces must be byte-identical across runs.
+  const trace::SpanContext task_ctx = run.request_ctx.child(
+      trace::salt::kTask ^
+      trace::mix64(static_cast<std::uint64_t>(task.ready.ns())) ^
+      trace::fnv1a(task.client_id));
+  const trace::SpanContext wait_ctx = task_ctx.child(trace::salt::kQueueWait);
+  const trace::SpanContext exec_ctx = task_ctx.child(trace::salt::kExecute);
+  trace::record(trace::Span{config_.id, "task", task.ready, task_end,
+                            task_ctx.trace_id, task_ctx.span_id,
+                            run.request_ctx.span_id});
+  trace::record(trace::Span{config_.id, "queue-wait", task.ready, exec_start,
+                            wait_ctx.trace_id, wait_ctx.span_id,
+                            task_ctx.span_id});
+  trace::record(trace::Span{config_.id, "execute", exec_start, task_end,
+                            exec_ctx.trace_id, exec_ctx.span_id,
+                            task_ctx.span_id});
+  for (const ExecutedOp& rec : run.executed) {
+    const Operation& op = *rec.op;
+    if (op.kind == Operation::Kind::kFinish) continue;  // zero-width marker
+    const char* kind = op.kind == Operation::Kind::kWrite  ? "op:write"
+                       : op.kind == Operation::Kind::kRead ? "op:read"
+                                                           : "op:kernel";
+    const trace::SpanContext op_ctx =
+        op.trace.child(trace::salt::kOp ^ op.op_id);
+    trace::record(trace::Span{config_.id, kind, rec.interval.start,
+                              rec.interval.end, op_ctx.trace_id,
+                              op_ctx.span_id, exec_ctx.span_id});
+  }
+}
+
+void DeviceManager::flush_completions(TaskRun& run) {
+  const std::shared_ptr<net::Connection> connection =
+      std::move(run.connection);
+  if (run.staged.empty()) return;
+  if (connection->closed()) {
     // The stream closed while the task executed. The client's events are
     // resolved by connection-loss poisoning instead.
-    for (const net::Completion& staged : batch.staged) {
+    for (const net::Completion& staged : run.staged) {
       BF_LOG_WARN("devmgr") << config_.id << ": OpComplete for op "
                             << staged.correlation
                             << " undeliverable: stream closed";
     }
-    batch.staged.clear();
+    run.staged.clear();
     return;
   }
-  const std::size_t count = batch.staged.size();
-  if (Status sent = batch.connection->notify_batch(batch.staged);
-      !sent.ok()) {
+  const std::size_t count = run.staged.size();
+  if (Status sent = connection->notify_batch(run.staged); !sent.ok()) {
     // Close raced the delivery (or fault injection dropped the batch push).
     BF_LOG_WARN("devmgr") << config_.id << ": " << count
                           << " OpComplete notification(s) undeliverable: "
@@ -1344,8 +1117,7 @@ void DeviceManager::cleanup_session(std::uint64_t session_id) {
                           << " queued task(s) of dead session " << session_id;
     tasks_cancelled_counter_->increment(
         static_cast<double>(cancelled.size()));
-    std::lock_guard lock(state_mutex_);
-    tasks_cancelled_ += cancelled.size();
+    tasks_cancelled_.fetch_add(cancelled.size());
   }
   std::shared_ptr<shm::Segment> segment;
   {

@@ -9,7 +9,9 @@
 // A single worker thread pulls tasks in scheduler-policy order (modeled FIFO
 // by default; see devmgr/scheduler.h for the weighted-fair, deadline, and
 // batching alternatives) and executes them exclusively on the board,
-// notifying each operation's event on completion.
+// notifying each operation's event on completion. Every pop runs through one
+// executor: a lone task is a batch of one whose ops run strictly in order;
+// only a kBatching pop of two or more tasks shares one coalesced kernel pass.
 // Board reconfiguration is the one synchronous method that rides the central
 // queue, blocking all other operations while the board is programmed.
 //
@@ -17,6 +19,7 @@
 // a client can only ever name its own resources.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -34,12 +37,6 @@
 #include "sim/board.h"
 
 namespace bf::devmgr {
-
-// Worker-side staging of one task's OpComplete notifications: the worker
-// resolves the session's connection once, appends encoded completions as ops
-// retire, and delivers them through Connection::notify_batch with a single
-// consumer wake per task (defined in device_manager.cpp).
-struct CompletionBatch;
 
 struct DeviceManagerConfig {
   std::string id;  // e.g. "devmgr-b"
@@ -163,24 +160,62 @@ class DeviceManager {
   void seal_task(Session& session, std::uint64_t queue_id, vt::Time ready,
                  vt::Time deadline);
 
-  // Worker-side execution.
-  void execute_task(const Task& task);
-  // Executes a batchable lead task plus its coalesced companions as one
-  // board pass (kBatching policy; devmgr/scheduler.h).
-  void execute_batch(const Task& lead, const std::vector<Task>& companions);
+  // --- Worker-side execution ---------------------------------------------
+  struct ExecutedOp {
+    const Operation* op = nullptr;
+    sim::Board::Interval interval;
+  };
+  // One popped data task's execution state. The worker keeps one per batch
+  // member in runs_ and reuses them across pops, vectors and all.
+  struct TaskRun {
+    const Task* task = nullptr;
+    trace::SpanContext request_ctx;  // first traced op's request context
+    bool traced = false;
+    vt::Time cursor;  // end of the last successful op
+    bool abort_rest = false;
+    std::size_t kernel_index = 0;  // the kernel op (batches of two or more)
+    // The session's connection, read by the first prepare_op (null when the
+    // session is gone: its completions are dropped).
+    std::shared_ptr<net::Connection> connection;
+    // Encoded completions, delivered by flush_completions in one wake.
+    std::vector<net::Completion> staged;
+    std::vector<ExecutedOp> executed;  // successful ops (traced runs only)
+  };
+  // What one op reads from its session, snapshotted under state_mutex_.
+  struct OpInputs {
+    vt::Time ready;  // the run's cursor, delayed by the op's wait list
+    sim::MemHandle buffer;
+    std::shared_ptr<shm::Segment> segment;
+    sim::KernelLaunch launch;
+  };
+
+  void execute_program(const Task& task);
+  // Executes `lead` plus its kBatching companions (empty for every other
+  // policy). A lone task runs its ops in order; two or more run their
+  // pre-kernel transfers, one coalesced board pass, then the rest.
+  void execute_tasks(const Task& lead, const std::vector<Task>& companions);
+  // Per-op step: prepare_op, board op, record_op.
+  void run_op(TaskRun& run, const Operation& op);
+  // The abort-fault check, then the op's one state_mutex_ acquisition
+  // before it runs: session, wait-list stamps, buffer/segment, kernel
+  // launch, and on the first op the connection. A non-OK status fails the
+  // op.
+  Status prepare_op(TaskRun& run, const Operation& op, OpInputs& inputs);
   // Returns the op's exclusive board occupancy interval.
   Result<sim::Board::Interval> execute_operation(
-      std::uint64_t session_id, const Operation& op, vt::Time ready,
+      const Operation& op, const OpInputs& inputs,
       proto::OpComplete& completion);
-  // Encodes the completion into `batch` (consuming completion.data into the
-  // arena); flush_completions delivers the whole task's worth in one wake.
-  void stage_completion(CompletionBatch& batch, std::uint64_t session_id,
-                        std::uint64_t op_id, proto::OpComplete& completion,
-                        vt::Time at);
-  void flush_completions(CompletionBatch& batch);
-
-  Result<sim::KernelLaunch> resolve_kernel(std::uint64_t session_id,
-                                           const Operation& op);
+  // The op's one state_mutex_ acquisition after it ran (successful ops
+  // only): completed_ops and busy_records_. Then stages its completion
+  // (consuming completion.data into the arena).
+  void record_op(TaskRun& run, const Operation& op,
+                 const Result<sim::Board::Interval>& interval,
+                 proto::OpComplete& completion);
+  // Per-task epilogue, before any completion is delivered: counters,
+  // task_span_ms, spans.
+  void finish_task(const TaskRun& run);
+  void record_task_spans(const TaskRun& run);
+  void flush_completions(TaskRun& run);
 
   void cleanup_session(std::uint64_t session_id);
 
@@ -195,15 +230,22 @@ class DeviceManager {
   std::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t next_task_seq_ = 1;
-  std::uint64_t tasks_executed_ = 0;
-  std::uint64_t ops_executed_ = 0;
-  std::uint64_t tasks_cancelled_ = 0;
   struct BusyRecord {
     std::string client_id;
     sim::Board::Interval interval;
   };
   std::vector<BusyRecord> busy_records_;
   std::vector<ExecutionRecord> journal_;  // see record_execution_journal
+
+  // The worker stores these before it delivers the counted ops' completions.
+  std::atomic<std::uint64_t> tasks_executed_{0};
+  std::atomic<std::uint64_t> ops_executed_{0};
+  std::atomic<std::uint64_t> tasks_cancelled_{0};  // dispatcher-side
+
+  // Worker-owned scratch, reused across pops.
+  std::vector<TaskRun> runs_;
+  std::vector<std::size_t> live_;  // runs_ indexes in the coalesced pass
+  std::vector<sim::KernelLaunch> launches_;
 
   std::mutex threads_mutex_;
   std::vector<std::thread> dispatchers_;

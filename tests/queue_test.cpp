@@ -1,7 +1,7 @@
-// Hot-path queue contracts: the lock-free SPSC ring, the blocking
+// Hot-path queue contracts: the lock-free SPSC ring and the blocking
 // close-aware SpscQueue built on it (the data plane's two single-consumer
-// queues), and BlockingQueue's closed-aware try_pop. The threaded cases are
-// run under TSan/ASan by bench/run_sanitized.sh.
+// queues). The threaded cases are run under TSan/ASan by
+// bench/run_sanitized.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/queue.h"
 #include "common/spsc_ring.h"
 
 namespace bf {
@@ -213,42 +212,6 @@ TEST(SpscQueue, TwoProducersPerProducerOrderHolds) {
   EXPECT_EQ(last_a, kPerProducer - 1);
   EXPECT_EQ(last_b, 1000000 + kPerProducer - 1);
   EXPECT_TRUE(queue.empty());
-}
-
-// ---- BlockingQueue closed-aware try_pop ---------------------------------------
-
-TEST(BlockingQueueTryPop, ReportsClosedOnlyWhenDrained) {
-  BlockingQueue<int> queue;
-  auto empty = queue.try_pop();
-  EXPECT_FALSE(empty.has_item());
-  EXPECT_FALSE(empty.closed);
-
-  queue.push(5);
-  queue.close();
-  auto last = queue.try_pop();
-  ASSERT_TRUE(last.has_item());
-  EXPECT_EQ(*last.item, 5);
-  EXPECT_FALSE(last.closed);
-
-  auto drained = queue.try_pop();
-  EXPECT_FALSE(drained.has_item());
-  EXPECT_TRUE(drained.closed);
-}
-
-TEST(BlockingQueueTryPop, EmptyIsConsistentUnderConcurrentPush) {
-  BlockingQueue<int> queue;
-  EXPECT_TRUE(queue.empty());
-  std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) queue.push(i);
-  });
-  std::size_t non_empty_seen = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (!queue.empty()) ++non_empty_seen;
-  }
-  producer.join();
-  EXPECT_FALSE(queue.empty());
-  EXPECT_EQ(queue.size(), 1000u);
-  (void)non_empty_seen;
 }
 
 }  // namespace
