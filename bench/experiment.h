@@ -171,7 +171,7 @@ inline ScenarioResult run_sharing_cell(bool blastfunction,
       const std::string pod = r.function + "-0";
       double busy_sec = 0.0;
       for (const char* node : testbed::Testbed::kNodeNames) {
-        busy_sec += bed.manager(node).client_busy_between(pod, from, to).sec();
+        busy_sec += bed.board(node).client_busy_between(pod, from, to).sec();
       }
       row.utilization_pct = 100.0 * busy_sec / (to - from).sec();
     } else {

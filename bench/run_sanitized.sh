@@ -7,7 +7,8 @@
 # golden-trace / span-invariant suites (TraceBuilder collects spans from
 # app threads, devmgr workers and board completions concurrently), the
 # registry churn invariant stress harness, and the device-scheduler policy
-# suite (dispatcher threads push while the worker pops) — under each. Any
+# suite (dispatcher threads push while the worker pops; the worker writes the
+# board occupancy ledger that testbed threads read) — under each. Any
 # sanitizer report fails the run.
 #
 # Usage: bench/run_sanitized.sh [thread|address ...]

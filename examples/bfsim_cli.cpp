@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   if (!options.trace_path.empty()) {
     trace::TraceBuilder builder;
     for (const std::string& node : bed.node_names()) {
-      builder.add_board_occupancy(bed.manager(node), from, to);
+      builder.add_board_occupancy(bed.board(node), from, to);
     }
     Status written = builder.write_file(options.trace_path);
     if (!written.ok()) {

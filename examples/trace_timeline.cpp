@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
     // Overlay the boards' per-tenant occupancy for the measured window.
     for (const std::string& node : bed.node_names()) {
-      builder.add_board_occupancy(bed.manager(node), vt::Time::seconds(2),
+      builder.add_board_occupancy(bed.board(node), vt::Time::seconds(2),
                                   vt::Time::seconds(5));
     }
   }  // Testbed teardown uninstalls the sink before `builder` dies.

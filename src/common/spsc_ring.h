@@ -219,6 +219,8 @@ class SpscQueue {
     if (auto item = ring_.try_pop()) return item;
     if (overflow_active_.load(std::memory_order_acquire)) {
       std::lock_guard lock(overflow_mutex_);
+      // Ring pushes that landed after the check above predate the overflow.
+      if (auto item = ring_.try_pop()) return item;
       if (!overflow_.empty()) {
         std::optional<T> item(std::move(overflow_.front()));
         overflow_.pop_front();

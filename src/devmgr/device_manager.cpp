@@ -138,43 +138,17 @@ std::size_t DeviceManager::session_count() const {
 }
 
 std::uint64_t DeviceManager::tasks_executed() const {
-  return tasks_executed_.load();
+  return static_cast<std::uint64_t>(tasks_counter_->value());
 }
 
 std::uint64_t DeviceManager::ops_executed() const {
-  return ops_executed_.load();
+  return static_cast<std::uint64_t>(ops_counter_->value());
 }
 
 std::vector<DeviceManager::ExecutionRecord> DeviceManager::execution_journal()
     const {
   std::lock_guard lock(state_mutex_);
   return journal_;
-}
-
-vt::Duration DeviceManager::client_busy_between(const std::string& client_id,
-                                                vt::Time from,
-                                                vt::Time to) const {
-  std::lock_guard lock(state_mutex_);
-  vt::Duration total = vt::Duration::nanos(0);
-  for (const BusyRecord& record : busy_records_) {
-    if (record.client_id != client_id) continue;
-    const vt::Time lo = vt::max(record.interval.start, from);
-    const vt::Time hi = record.interval.end < to ? record.interval.end : to;
-    if (lo < hi) total += hi - lo;
-  }
-  return total;
-}
-
-std::vector<DeviceManager::ClientBusy> DeviceManager::busy_snapshot(
-    vt::Time from, vt::Time to) const {
-  std::lock_guard lock(state_mutex_);
-  std::vector<ClientBusy> out;
-  for (const BusyRecord& record : busy_records_) {
-    if (record.interval.end <= from || record.interval.start >= to) continue;
-    out.push_back(ClientBusy{record.client_id, record.interval.start,
-                             record.interval.end});
-  }
-  return out;
 }
 
 Result<DeviceManager::HealthSnapshot> DeviceManager::health() {
@@ -184,7 +158,7 @@ Result<DeviceManager::HealthSnapshot> DeviceManager::health() {
   HealthSnapshot snapshot;
   snapshot.queue_depth = scheduler_->size();
   snapshot.accepting = true;
-  snapshot.ops_executed = ops_executed_.load();
+  snapshot.ops_executed = ops_executed();
   {
     std::lock_guard lock(state_mutex_);
     snapshot.sessions = sessions_.size();
@@ -195,7 +169,7 @@ Result<DeviceManager::HealthSnapshot> DeviceManager::health() {
 }
 
 std::uint64_t DeviceManager::tasks_cancelled() const {
-  return tasks_cancelled_.load();
+  return static_cast<std::uint64_t>(tasks_cancelled_counter_->value());
 }
 
 std::string DeviceManager::segment_name(std::uint64_t session_id) const {
@@ -229,6 +203,7 @@ void DeviceManager::serve_connection(
       }
       Session session;
       session.client_id = request.value().client_id;
+      session.owner = board_->owner(session.client_id);
       session.connection = connection;
       {
         std::lock_guard lock(state_mutex_);
@@ -438,9 +413,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
     }
     case proto::Method::kCreateQueue: {
       proto::CreateQueueResp resp;
-      const std::uint64_t id = session.next_queue_id++;
-      session.queues[id] = true;
-      resp.queue_id = id;
+      resp.queue_id = session.next_queue_id++;
       connection->reply(frame, encode(resp), at);
       return;
     }
@@ -453,7 +426,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       proto::HealthResp resp;
       resp.queue_depth = scheduler_->size();
       resp.sessions = sessions_.size();
-      resp.ops_executed = ops_executed_.load();
+      resp.ops_executed = ops_executed();
       resp.accepting = !shutdown_.load();
       health_probes_counter_->increment();
       queue_depth_gauge_->set(static_cast<double>(resp.queue_depth));
@@ -604,6 +577,7 @@ void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
   session.building.erase(it);
   task.session_id = session.id;
   task.client_id = session.client_id;
+  task.owner = session.owner;
   task.queue_id = queue_id;
   task.ready = ready;
   task.deadline = deadline;
@@ -840,6 +814,7 @@ Status DeviceManager::prepare_op(TaskRun& run, const Operation& op,
     run.abort_rest = true;
   }
   inputs.ready = run.cursor;
+  inputs.owner = run.task->owner;
   std::lock_guard lock(state_mutex_);
   auto session_it = sessions_.find(run.task->session_id);
   if (session_it == sessions_.end()) {
@@ -883,6 +858,7 @@ Status DeviceManager::prepare_op(TaskRun& run, const Operation& op,
   sim::KernelLaunch& launch = inputs.launch;
   launch.kernel = kernel_it->second;
   launch.global_size = op.global_size;
+  launch.owner = inputs.owner;
   launch.args.reserve(op.args.size());
   for (std::size_t i = 0; i < op.args.size(); ++i) {
     const proto::KernelArgMsg& arg = op.args[i];
@@ -932,13 +908,13 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
         }
         auto view = inputs.segment->view(op.shm_slot);
         if (!view.ok()) return view.status();
-        auto written =
-            board_->write(inputs.buffer, op.offset, view.value(), ready);
+        auto written = board_->write(inputs.buffer, op.offset, view.value(),
+                                     ready, inputs.owner);
         (void)inputs.segment->release(op.shm_slot);
         return written;
       }
       return board_->write(inputs.buffer, op.offset, ByteSpan{op.inline_data},
-                           ready);
+                           ready, inputs.owner);
     }
     case Operation::Kind::kRead: {
       if (op.use_shm) {
@@ -949,8 +925,8 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
         if (!slot.ok()) return slot.status();
         auto view = inputs.segment->writable_view(slot.value());
         if (!view.ok()) return view.status();
-        auto interval =
-            board_->read(inputs.buffer, op.offset, view.value(), ready);
+        auto interval = board_->read(inputs.buffer, op.offset, view.value(),
+                                     ready, inputs.owner);
         if (!interval.ok()) {
           (void)inputs.segment->release(slot.value());
           return interval.status();
@@ -965,7 +941,7 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
       Bytes out = arena::acquire(op.size);
       out.resize_for_overwrite(op.size);
       auto interval = board_->read(inputs.buffer, op.offset,
-                                   MutableByteSpan{out}, ready);
+                                   MutableByteSpan{out}, ready, inputs.owner);
       if (!interval.ok()) return interval;
       completion.data = std::move(out);
       completion.size = op.size;
@@ -989,9 +965,6 @@ void DeviceManager::record_op(TaskRun& run, const Operation& op,
     if (run.traced) run.executed.push_back(ExecutedOp{&op, occupied});
     completion.status = proto::StatusMsg::from(Status::Ok());
     std::lock_guard lock(state_mutex_);
-    if (occupied.end > occupied.start) {
-      busy_records_.push_back(BusyRecord{run.task->client_id, occupied});
-    }
     auto session_it = sessions_.find(run.task->session_id);
     if (session_it != sessions_.end()) {
       session_it->second.completed_ops[op.op_id] = occupied.end;
@@ -1014,8 +987,6 @@ void DeviceManager::record_op(TaskRun& run, const Operation& op,
 
 void DeviceManager::finish_task(const TaskRun& run) {
   const Task& task = *run.task;
-  tasks_executed_.fetch_add(1);
-  ops_executed_.fetch_add(task.ops.size());
   tasks_counter_->increment();
   ops_counter_->increment(static_cast<double>(task.ops.size()));
   // Once per task, aborted or failed ones included. The exemplar lets an
@@ -1117,7 +1088,6 @@ void DeviceManager::cleanup_session(std::uint64_t session_id) {
                           << " queued task(s) of dead session " << session_id;
     tasks_cancelled_counter_->increment(
         static_cast<double>(cancelled.size()));
-    tasks_cancelled_.fetch_add(cancelled.size());
   }
   std::shared_ptr<shm::Segment> segment;
   {

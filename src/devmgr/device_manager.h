@@ -77,23 +77,8 @@ class DeviceManager {
 
   // FPGA time utilization over a modeled window: busy / (to - from).
   // This is the metric the Accelerators Registry's gatherer consumes.
+  // Per-client occupancy lives in the board's ledger (sim::Board).
   [[nodiscard]] double utilization(vt::Time from, vt::Time to) const;
-
-  // Device busy time attributable to one client within a window (the
-  // per-function utilization of paper Table II).
-  [[nodiscard]] vt::Duration client_busy_between(const std::string& client_id,
-                                                 vt::Time from,
-                                                 vt::Time to) const;
-
-  // Raw per-client occupancy intervals overlapping [from, to] (consumed by
-  // the trace exporter).
-  struct ClientBusy {
-    std::string client_id;
-    vt::Time start;
-    vt::Time end;
-  };
-  [[nodiscard]] std::vector<ClientBusy> busy_snapshot(vt::Time from,
-                                                      vt::Time to) const;
 
   [[nodiscard]] std::size_t session_count() const;
   [[nodiscard]] std::uint64_t tasks_executed() const;
@@ -136,11 +121,11 @@ class DeviceManager {
   struct Session {
     std::uint64_t id = 0;
     std::string client_id;
+    sim::Owner owner = 0;  // client_id interned by the board's ledger
     std::shared_ptr<net::Connection> connection;
     std::shared_ptr<shm::Segment> segment;  // null => gRPC data path
     std::map<std::uint64_t, sim::MemHandle> buffers;
     std::map<std::uint64_t, std::string> kernels;  // id -> kernel name
-    std::map<std::uint64_t, bool> queues;          // id -> exists
     std::uint64_t next_buffer_id = 1;
     std::uint64_t next_kernel_id = 1;
     std::uint64_t next_queue_id = 1;
@@ -184,6 +169,7 @@ class DeviceManager {
   // What one op reads from its session, snapshotted under state_mutex_.
   struct OpInputs {
     vt::Time ready;  // the run's cursor, delayed by the op's wait list
+    sim::Owner owner = 0;
     sim::MemHandle buffer;
     std::shared_ptr<shm::Segment> segment;
     sim::KernelLaunch launch;
@@ -206,7 +192,7 @@ class DeviceManager {
       const Operation& op, const OpInputs& inputs,
       proto::OpComplete& completion);
   // The op's one state_mutex_ acquisition after it ran (successful ops
-  // only): completed_ops and busy_records_. Then stages its completion
+  // only): completed_ops. Then stages its completion
   // (consuming completion.data into the arena).
   void record_op(TaskRun& run, const Operation& op,
                  const Result<sim::Board::Interval>& interval,
@@ -230,17 +216,7 @@ class DeviceManager {
   std::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t next_task_seq_ = 1;
-  struct BusyRecord {
-    std::string client_id;
-    sim::Board::Interval interval;
-  };
-  std::vector<BusyRecord> busy_records_;
   std::vector<ExecutionRecord> journal_;  // see record_execution_journal
-
-  // The worker stores these before it delivers the counted ops' completions.
-  std::atomic<std::uint64_t> tasks_executed_{0};
-  std::atomic<std::uint64_t> ops_executed_{0};
-  std::atomic<std::uint64_t> tasks_cancelled_{0};  // dispatcher-side
 
   // Worker-owned scratch, reused across pops.
   std::vector<TaskRun> runs_;
@@ -252,7 +228,9 @@ class DeviceManager {
   std::thread worker_;
   std::atomic<bool> shutdown_{false};
 
-  // Metric handles (created once, updated by the worker).
+  // Metric handles (created once, updated by the worker). The task and op
+  // counters are incremented before the counted ops' completions are
+  // delivered; tasks_executed() and friends read them.
   std::shared_ptr<metrics::Counter> tasks_counter_;
   std::shared_ptr<metrics::Counter> ops_counter_;
   std::shared_ptr<metrics::Counter> reconfig_counter_;

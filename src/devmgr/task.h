@@ -20,6 +20,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "proto/messages.h"
+#include "sim/kernels.h"
 #include "trace/span.h"
 #include "vt/time.h"
 
@@ -89,6 +90,7 @@ struct Task {
   std::uint64_t seq = 0;  // per-manager admission counter
   std::uint64_t session_id = 0;
   std::string client_id;  // deterministic tiebreaker for equal ready stamps
+  sim::Owner owner = 0;   // the session's ledger owner, stamped at seal
   std::uint64_t queue_id = 0;
   vt::Time ready;  // modeled arrival of the sealing flush
   // Client-requested completion deadline (from its CallOptions timeout);

@@ -11,6 +11,14 @@ namespace {
 constexpr double kPrBytesPerSecond = 100.0 * 1024 * 1024;
 constexpr vt::Duration kPrSetup = vt::Duration::millis(250);
 
+// The part of [start, end] inside [from, to].
+vt::Duration clipped(vt::Time start, vt::Time end, vt::Time from,
+                     vt::Time to) {
+  const vt::Time lo = vt::max(start, from);
+  const vt::Time hi = end < to ? end : to;
+  return lo < hi ? hi - lo : vt::Duration::nanos(0);
+}
+
 }  // namespace
 
 Board::Board(BoardConfig config)
@@ -26,8 +34,8 @@ Result<Board::Interval> Board::configure(const Bitstream& bitstream,
   for (Region& region : regions_) region.bitstream.reset();
   regions_[0].bitstream = bitstream;
   ++reconfigurations_;
-  const Interval interval = schedule_locked(
-      ready, bitstream.reconfiguration_time(), /*count_busy=*/false);
+  const Interval interval =
+      schedule_locked(ready, bitstream.reconfiguration_time());
   // Full programming stalls every region.
   for (Region& region : regions_) {
     region.busy_until = vt::max(region.busy_until, interval.end);
@@ -47,18 +55,14 @@ Result<Board::Interval> Board::configure_region(unsigned region_index,
     return InvalidArgument("region " + std::to_string(region_index) +
                            " out of range");
   }
-  Region& region = regions_[region_index];
   // PR bitstreams cover one region: size scales down with the region count.
   const double bytes =
       static_cast<double>(bitstream.size_bytes) / config_.pr_regions;
   const vt::Duration pr_time =
       kPrSetup + vt::Duration::from_seconds_f(bytes / kPrBytesPerSecond);
-  const vt::Time start = vt::max(ready, region.busy_until);
-  const vt::Time end = start + pr_time;
-  region.busy_until = end;
-  region.bitstream = bitstream;
+  regions_[region_index].bitstream = bitstream;
   ++reconfigurations_;
-  return Interval{start, end};
+  return schedule_kernel_locked(region_index, ready, pr_time);
 }
 
 Result<Board::Interval> Board::ensure_accelerator(const Bitstream& bitstream,
@@ -149,7 +153,8 @@ Status Board::release(MemHandle handle) {
 }
 
 Result<Board::Interval> Board::write(MemHandle handle, std::uint64_t offset,
-                                     ByteSpan data, vt::Time ready) {
+                                     ByteSpan data, vt::Time ready,
+                                     Owner owner) {
   std::lock_guard lock(mutex_);
   if (config_.functional) {
     if (Status s = memory_.write(handle, offset, data); !s.ok()) return s;
@@ -162,11 +167,14 @@ Result<Board::Interval> Board::write(MemHandle handle, std::uint64_t offset,
       return InvalidArgument("device write out of bounds");
     }
   }
-  return schedule_locked(ready, config_.host.pcie.transfer_time(data.size()));
+  return record_busy_locked(
+      schedule_locked(ready, config_.host.pcie.transfer_time(data.size())),
+      owner);
 }
 
 Result<Board::Interval> Board::read(MemHandle handle, std::uint64_t offset,
-                                    MutableByteSpan out, vt::Time ready) {
+                                    MutableByteSpan out, vt::Time ready,
+                                    Owner owner) {
   std::lock_guard lock(mutex_);
   if (config_.functional) {
     if (Status s = memory_.read(handle, offset, out); !s.ok()) return s;
@@ -178,50 +186,17 @@ Result<Board::Interval> Board::read(MemHandle handle, std::uint64_t offset,
     }
     std::fill(out.begin(), out.end(), std::uint8_t{0});
   }
-  return schedule_locked(ready, config_.host.pcie.transfer_time(out.size()));
+  return record_busy_locked(
+      schedule_locked(ready, config_.host.pcie.transfer_time(out.size())),
+      owner);
 }
 
 Result<Board::Interval> Board::run_kernel(const KernelLaunch& launch,
                                           vt::Time ready) {
+  Interval interval;
   std::lock_guard lock(mutex_);
-  bool any_configured = false;
-  for (const Region& region : regions_) {
-    any_configured |= region.bitstream.has_value();
-  }
-  if (!any_configured) {
-    return FailedPrecondition("board " + config_.id + " is not configured");
-  }
-  const Region* region = region_with_kernel_locked(launch.kernel);
-  if (region == nullptr) {
-    return NotFound("kernel '" + launch.kernel +
-                    "' not resident on board '" + config_.id + "'");
-  }
-  const KernelModel* model = KernelRegistry::standard().find(launch.kernel);
-  if (model == nullptr) {
-    return Internal("no model for kernel '" + launch.kernel + "'");
-  }
-  if (Status s = model->validate(launch); !s.ok()) return s;
-  auto exec_time = model->execution_time(launch);
-  if (!exec_time.ok()) return exec_time.status();
-  if (config_.functional) {
-    if (Status s = model->execute(launch, memory_); !s.ok()) return s;
-  }
-  ++kernel_launches_;
-  const auto region_index =
-      static_cast<unsigned>(region - regions_.data());
-  const Interval interval =
-      schedule_kernel_locked(region_index, ready, exec_time.value());
-  if (launch.trace.is_valid() && trace::enabled()) {
-    trace::Span span;
-    span.track = config_.id;
-    span.name = "kernel:" + launch.kernel;
-    span.start = interval.start;
-    span.end = interval.end;
-    span.trace_id = launch.trace.trace_id;
-    span.span_id = launch.trace.child(trace::salt::kKernel).span_id;
-    span.parent_span_id = launch.trace.span_id;
-    trace::record(std::move(span));
-  }
+  const Status status = run_pass_locked({&launch, 1}, ready, {&interval, 1});
+  if (!status.ok()) return status;
   return interval;
 }
 
@@ -230,12 +205,15 @@ Result<std::vector<Board::Interval>> Board::run_kernel_batch(
   if (launches.empty()) {
     return InvalidArgument("empty kernel batch");
   }
-  if (launches.size() == 1) {
-    auto interval = run_kernel(launches.front(), ready);
-    if (!interval.ok()) return interval.status();
-    return std::vector<Interval>{interval.value()};
-  }
+  std::vector<Interval> intervals(launches.size());
   std::lock_guard lock(mutex_);
+  const Status status = run_pass_locked(launches, ready, intervals);
+  if (!status.ok()) return status;
+  return intervals;
+}
+
+Status Board::run_pass_locked(std::span<const KernelLaunch> launches,
+                              vt::Time ready, std::span<Interval> out) {
   const std::string& kernel = launches.front().kernel;
   for (const KernelLaunch& launch : launches) {
     if (launch.kernel != kernel) {
@@ -260,14 +238,21 @@ Result<std::vector<Board::Interval>> Board::run_kernel_batch(
     return Internal("no model for kernel '" + kernel + "'");
   }
   // Validate and cost every launch before touching memory, so a bad launch
-  // fails the whole batch with no partial functional effects.
-  std::vector<vt::Duration> exec_times;
-  exec_times.reserve(launches.size());
-  for (const KernelLaunch& launch : launches) {
-    if (Status s = model->validate(launch); !s.ok()) return s;
-    auto exec_time = model->execution_time(launch);
+  // fails the whole pass with no partial functional effects. Every model's
+  // execution_time includes the fixed launch overhead; the followers ride
+  // the already-filled pipeline, so the pass pays it once. Until the pass
+  // is placed, out[i] holds launch i's share as an interval from zero.
+  const vt::Duration overhead = kernel_launch_overhead();
+  const vt::Duration zero = vt::Duration::nanos(0);
+  vt::Duration total = zero;
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    if (Status s = model->validate(launches[i]); !s.ok()) return s;
+    auto exec_time = model->execution_time(launches[i]);
     if (!exec_time.ok()) return exec_time.status();
-    exec_times.push_back(exec_time.value());
+    const vt::Duration share =
+        i == 0 ? exec_time.value() : vt::max(exec_time.value() - overhead, zero);
+    out[i] = Interval{vt::Time::zero(), vt::Time::zero() + share};
+    total += share;
   }
   if (config_.functional) {
     for (const KernelLaunch& launch : launches) {
@@ -275,29 +260,14 @@ Result<std::vector<Board::Interval>> Board::run_kernel_batch(
     }
   }
   kernel_launches_ += launches.size();
-  // Every model's execution_time includes the fixed launch overhead; the
-  // followers ride the already-filled pipeline, so the pass pays it once.
-  const vt::Duration overhead = kernel_launch_overhead();
-  const vt::Duration zero = vt::Duration::nanos(0);
-  std::vector<vt::Duration> shares;
-  shares.reserve(launches.size());
-  vt::Duration total = zero;
-  for (std::size_t i = 0; i < exec_times.size(); ++i) {
-    const vt::Duration share =
-        i == 0 ? exec_times[i] : vt::max(exec_times[i] - overhead, zero);
-    shares.push_back(share);
-    total += share;
-  }
   const auto region_index = static_cast<unsigned>(region - regions_.data());
-  const Interval pass = schedule_kernel_locked(region_index, ready, total);
-  std::vector<Interval> intervals;
-  intervals.reserve(launches.size());
-  vt::Time cursor = pass.start;
+  vt::Time cursor = schedule_kernel_locked(region_index, ready, total).start;
   for (std::size_t i = 0; i < launches.size(); ++i) {
-    const Interval interval{cursor, cursor + shares[i]};
-    cursor = interval.end;
-    intervals.push_back(interval);
     const KernelLaunch& launch = launches[i];
+    const Interval interval = record_busy_locked(
+        Interval{cursor, cursor + out[i].duration()}, launch.owner);
+    out[i] = interval;
+    cursor = interval.end;
     if (launch.trace.is_valid() && trace::enabled()) {
       trace::Span span;
       span.track = config_.id;
@@ -310,7 +280,7 @@ Result<std::vector<Board::Interval>> Board::run_kernel_batch(
       trace::record(std::move(span));
     }
   }
-  return intervals;
+  return Status::Ok();
 }
 
 std::uint64_t Board::memory_capacity() const {
@@ -340,12 +310,46 @@ vt::Duration Board::busy_total() const {
 vt::Duration Board::busy_between(vt::Time from, vt::Time to) const {
   std::lock_guard lock(mutex_);
   vt::Duration total = vt::Duration::nanos(0);
-  for (const Interval& interval : busy_log_) {
-    const vt::Time lo = vt::max(interval.start, from);
-    const vt::Time hi = interval.end < to ? interval.end : to;
-    if (lo < hi) total += hi - lo;
+  for (const BusyEntry& entry : busy_log_) {
+    total += clipped(entry.start, entry.end, from, to);
   }
   return total;
+}
+
+Owner Board::owner(const std::string& client_id) {
+  std::lock_guard lock(mutex_);
+  const auto it = std::find(owner_ids_.begin(), owner_ids_.end(), client_id);
+  if (it != owner_ids_.end()) {
+    return static_cast<Owner>(it - owner_ids_.begin());
+  }
+  owner_ids_.push_back(client_id);
+  return static_cast<Owner>(owner_ids_.size() - 1);
+}
+
+vt::Duration Board::client_busy_between(const std::string& client_id,
+                                        vt::Time from, vt::Time to) const {
+  std::lock_guard lock(mutex_);
+  // An unknown id maps one past the last owner, so it matches no entry.
+  const auto owner = static_cast<Owner>(
+      std::find(owner_ids_.begin(), owner_ids_.end(), client_id) -
+      owner_ids_.begin());
+  vt::Duration total = vt::Duration::nanos(0);
+  for (const BusyEntry& entry : busy_log_) {
+    if (entry.owner != owner) continue;
+    total += clipped(entry.start, entry.end, from, to);
+  }
+  return total;
+}
+
+std::vector<Board::Occupancy> Board::busy_snapshot(vt::Time from,
+                                                   vt::Time to) const {
+  std::lock_guard lock(mutex_);
+  std::vector<Occupancy> out;
+  for (const BusyEntry& entry : busy_log_) {
+    if (entry.end <= from || entry.start >= to) continue;
+    out.push_back(Occupancy{owner_ids_[entry.owner], entry.start, entry.end});
+  }
+  return out;
 }
 
 std::uint64_t Board::reconfiguration_count() const {
@@ -358,20 +362,10 @@ std::uint64_t Board::kernel_launch_count() const {
   return kernel_launches_;
 }
 
-Board::Interval Board::schedule_locked(vt::Time ready, vt::Duration exec,
-                                       bool count_busy) {
+Board::Interval Board::schedule_locked(vt::Time ready, vt::Duration exec) {
   const vt::Time start = vt::max(ready, busy_until_);
   const vt::Time end = start + exec;
   busy_until_ = end;
-  if (count_busy) {
-    busy_total_ += exec;
-    // Coalesce back-to-back intervals to bound the log size.
-    if (!busy_log_.empty() && busy_log_.back().end == start) {
-      busy_log_.back().end = end;
-    } else {
-      busy_log_.push_back(Interval{start, end});
-    }
-  }
   return Interval{start, end};
 }
 
@@ -386,9 +380,19 @@ Board::Interval Board::schedule_kernel_locked(unsigned region_index,
   const vt::Time start = vt::max(ready, region.busy_until);
   const vt::Time end = start + exec;
   region.busy_until = end;
-  busy_total_ += exec;
-  busy_log_.push_back(Interval{start, end});
   return Interval{start, end};
+}
+
+Board::Interval Board::record_busy_locked(Interval interval, Owner owner) {
+  if (interval.end <= interval.start) return interval;
+  busy_total_ += interval.duration();
+  if (!busy_log_.empty() && busy_log_.back().owner == owner &&
+      busy_log_.back().end == interval.start) {
+    busy_log_.back().end = interval.end;  // bounds the log size
+  } else {
+    busy_log_.push_back(BusyEntry{interval.start, interval.end, owner});
+  }
+  return interval;
 }
 
 }  // namespace bf::sim

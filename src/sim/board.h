@@ -4,12 +4,14 @@
 // a Device Manager worker) ask it to schedule exclusive work at a given
 // virtual-time readiness and it returns the modeled [start, end] interval,
 // maintaining a single busy timeline — this is the physical serialization
-// point that makes time-sharing meaningful. Busy intervals are recorded for
-// the utilization metric (paper §III-C / §IV-B).
+// point that makes time-sharing meaningful. Busy intervals are recorded, each
+// tagged with its client, in the one occupancy ledger behind the utilization
+// metric (paper §III-C / §IV-B) and the per-client queries below.
 #pragma once
 
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,12 +89,12 @@ class Board {
   Status release(MemHandle handle);
 
   // Host -> board transfer: performs the write and returns the exclusive
-  // occupancy interval starting no earlier than `ready`.
+  // occupancy interval starting no earlier than `ready`, owned by `owner`.
   Result<Interval> write(MemHandle handle, std::uint64_t offset, ByteSpan data,
-                         vt::Time ready);
+                         vt::Time ready, Owner owner = 0);
   // Board -> host transfer.
   Result<Interval> read(MemHandle handle, std::uint64_t offset,
-                        MutableByteSpan out, vt::Time ready);
+                        MutableByteSpan out, vt::Time ready, Owner owner = 0);
 
   // --- Kernel execution -----------------------------------------------------
 
@@ -104,8 +106,8 @@ class Board {
   // one exclusive occupancy, paying the fixed per-launch overhead
   // (kernel_launch_overhead()) once instead of once per launch. Functional
   // effects and per-launch modeled compute are unchanged. Returns one
-  // sequential sub-interval per launch, in input order, partitioning the
-  // pass. All launches must name the same kernel.
+  // sequential sub-interval per launch (owned by launch.owner), in input
+  // order, partitioning the pass. All launches must name the same kernel.
   Result<std::vector<Interval>> run_kernel_batch(
       const std::vector<KernelLaunch>& launches, vt::Time ready);
 
@@ -120,20 +122,47 @@ class Board {
   [[nodiscard]] std::uint64_t reconfiguration_count() const;
   [[nodiscard]] std::uint64_t kernel_launch_count() const;
 
+  // --- Occupancy ledger -----------------------------------------------------
+
+  // Interns a client id (once per session, not per op) as the owner to pass
+  // to write/read/KernelLaunch. The empty id is owner 0.
+  [[nodiscard]] Owner owner(const std::string& client_id);
+  // The part of busy_between owned by one client (the per-function
+  // utilization of paper Table II); "" selects the unattributed time.
+  [[nodiscard]] vt::Duration client_busy_between(const std::string& client_id,
+                                                 vt::Time from,
+                                                 vt::Time to) const;
+  // Raw (unclipped) ledger entries overlapping [from, to], in recording
+  // order, for the trace exporter; an empty client_id is unattributed.
+  struct Occupancy {
+    std::string client_id;
+    vt::Time start;
+    vt::Time end;
+  };
+  [[nodiscard]] std::vector<Occupancy> busy_snapshot(vt::Time from,
+                                                     vt::Time to) const;
+
  private:
-  // count_busy=false occupies the timeline without contributing to the
-  // utilization metric (reconfiguration is not an OpenCL call, §III-C).
-  Interval schedule_locked(vt::Time ready, vt::Duration exec,
-                           bool count_busy = true);
+  // Occupies the exclusive timeline. Only the callers that ran an OpenCL
+  // operation record the interval (reconfiguration is not one, §III-C).
+  Interval schedule_locked(vt::Time ready, vt::Duration exec);
 
   struct Region {
     std::optional<Bitstream> bitstream;
     vt::Time busy_until;
   };
-  // Kernel scheduling: unified timeline in single-region mode, per-region
-  // timeline in shell mode. Requires mutex_ held.
+  // Kernel and PR scheduling: unified timeline in single-region mode,
+  // per-region timeline in shell mode. Requires mutex_ held.
   Interval schedule_kernel_locked(unsigned region, vt::Time ready,
                                   vt::Duration exec);
+  // run_kernel and run_kernel_batch: one exclusive pass of same-kernel
+  // launches, writing launch i's sub-interval to out[i].
+  Status run_pass_locked(std::span<const KernelLaunch> launches,
+                         vt::Time ready, std::span<Interval> out);
+  // The one ledger append path; returns `interval`. An entry extends the
+  // previous one when it has the same owner and starts where that one
+  // ended; empty intervals are dropped. Neither changes any busy sum.
+  Interval record_busy_locked(Interval interval, Owner owner);
   [[nodiscard]] const Region* region_with_kernel_locked(
       const std::string& name) const;
 
@@ -144,7 +173,13 @@ class Board {
   unsigned next_victim_region_ = 0;
   vt::Time busy_until_ = vt::Time::zero();
   vt::Duration busy_total_ = vt::Duration::nanos(0);
-  std::vector<Interval> busy_log_;
+  struct BusyEntry {
+    vt::Time start;
+    vt::Time end;
+    Owner owner = 0;
+  };
+  std::vector<BusyEntry> busy_log_;
+  std::vector<std::string> owner_ids_{""};  // indexed by Owner
   std::uint64_t reconfigurations_ = 0;
   std::uint64_t kernel_launches_ = 0;
 };

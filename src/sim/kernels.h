@@ -47,6 +47,9 @@ class ScopedKernelParallelism {
 // An OpenCL kernel argument: a device buffer or a scalar.
 using KernelArg = std::variant<MemHandle, std::int64_t, double>;
 
+// A client id interned by Board::owner(); 0 means unattributed.
+using Owner = std::uint32_t;
+
 struct KernelLaunch {
   std::string kernel;
   std::vector<KernelArg> args;
@@ -54,6 +57,7 @@ struct KernelLaunch {
   // Request trace context of the enqueue that produced this launch (invalid
   // when untraced); the board records a "kernel:<name>" span under it.
   trace::SpanContext trace;
+  Owner owner = 0;  // the occupancy's client in the board's busy ledger
 
   [[nodiscard]] std::uint64_t work_items() const {
     return global_size[0] * global_size[1] * global_size[2];

@@ -1,6 +1,6 @@
 // Chrome-trace / Perfetto export of board occupancy and request spans.
 //
-// Converts the Device Managers' per-client busy intervals and the
+// Converts the boards' per-client occupancy ledgers (sim::Board) and the
 // distributed request spans (trace/span.h) into the chrome://tracing
 // (Perfetto-compatible) JSON event format: one track per board / actor, one
 // complete ("X") event per interval, timestamps in microseconds of modeled
@@ -55,16 +55,16 @@ class TraceBuilder {
   // completions concurrently.
   void add(Span span);
 
-  // Pulls every client occupancy interval of the manager's board within
-  // [from, to] onto a track named after the board. Intervals straddling a
-  // window edge are clipped to the window, not dropped. Duck-typed over the
-  // manager (needs busy_snapshot() and board().id()) so bf::trace stays
-  // below bf::devmgr in the dependency order.
-  template <typename Manager>
-  void add_board_occupancy(Manager& manager, vt::Time from, vt::Time to) {
-    for (const auto& busy : manager.busy_snapshot(from, to)) {
+  // Pulls every occupancy entry of the board's ledger within [from, to]
+  // onto a track named after the board, one slice per entry (contiguous ops
+  // of one client are one entry). Intervals straddling a window edge are
+  // clipped to the window, not dropped. Duck-typed over the board (needs
+  // busy_snapshot() and id()) so bf::trace stays independent of bf::sim.
+  template <typename Board>
+  void add_board_occupancy(const Board& board, vt::Time from, vt::Time to) {
+    for (const auto& busy : board.busy_snapshot(from, to)) {
       Span span;
-      span.track = manager.board().id();
+      span.track = board.id();
       span.name = busy.client_id.empty() ? "(unattributed)" : busy.client_id;
       span.start = vt::max(busy.start, from);
       span.end = busy.end < to ? busy.end : to;

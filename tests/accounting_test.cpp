@@ -1,7 +1,11 @@
-// Accounting invariants: per-client busy attribution conserves total board
-// busy time; utilization definitions agree between DeviceManager, Board and
-// Testbed; metrics counters match executed work.
+// Accounting invariants: per-client busy attribution in the board ledger
+// conserves total board busy time in every Device Manager mode; utilization
+// definitions agree between DeviceManager, Board and Testbed; metrics
+// counters match executed work.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 #include "loadgen/loadgen.h"
 #include "testbed/testbed.h"
@@ -11,26 +15,38 @@
 namespace bf {
 namespace {
 
-TEST(Accounting, PerClientBusySumsToBoardBusy) {
-  testbed::Testbed bed;
-  auto factory = [] {
+// One Device Manager mode: the attribution paths differ per mode (one op at a
+// time, coalesced kernel passes, per-region kernel timelines).
+struct LedgerMode {
+  const char* name;
+  devmgr::SchedulerPolicy policy;
+  unsigned pr_regions;
+};
+
+class AccountingLedger : public ::testing::TestWithParam<LedgerMode> {};
+
+TEST_P(AccountingLedger, PerClientBusySumsToBoardBusy) {
+  testbed::TestbedOptions options;
+  options.policy.pack_tenants = true;  // tenants share boards
+  options.scheduler.policy = GetParam().policy;
+  options.scheduler.max_batch = 4;
+  options.pr_regions = GetParam().pr_regions;
+  testbed::Testbed packed(options);
+  auto sobel = [] {
     return std::make_unique<workloads::SobelWorkload>(640, 480);
   };
-  registry::AllocationPolicy pack;
-  pack.pack_tenants = true;
-  // Everyone on one board via a packed testbed.
-  testbed::TestbedOptions options;
-  options.policy = pack;
-  testbed::Testbed packed(options);
-  for (int i = 1; i <= 3; ++i) {
-    ASSERT_TRUE(packed
-                    .deploy_blastfunction("fn-" + std::to_string(i), factory)
-                    .ok());
+  // A second accelerator, so a two-region board runs kernels concurrently.
+  auto mm = [] { return std::make_unique<workloads::MatMulWorkload>(64); };
+  const std::vector<std::string> functions = {"fn-1", "fn-2", "fn-3",
+                                              "fn-mm"};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(packed.deploy_blastfunction(functions[i], sobel).ok());
   }
+  ASSERT_TRUE(packed.deploy_blastfunction("fn-mm", mm).ok());
   std::vector<loadgen::DriveSpec> specs;
-  for (int i = 1; i <= 3; ++i) {
+  for (const std::string& function : functions) {
     loadgen::DriveSpec spec;
-    spec.function = "fn-" + std::to_string(i);
+    spec.function = function;
     spec.target_rps = 15;
     spec.warmup = vt::Duration::seconds(3);
     spec.duration = vt::Duration::seconds(4);
@@ -38,26 +54,47 @@ TEST(Accounting, PerClientBusySumsToBoardBusy) {
   }
   (void)loadgen::drive_all(packed.gateway(), specs);
 
-  auto device = packed.registry().device_of_instance("fn-1-0");
-  ASSERT_TRUE(device.has_value());
-  const std::string node = device->substr(5);
   const vt::Time from = vt::Time::zero();
   const vt::Time to = vt::Time::seconds(60);
-
-  double client_sum_sec = 0.0;
-  for (int i = 1; i <= 3; ++i) {
-    client_sum_sec += packed.manager(node)
-                          .client_busy_between("fn-" + std::to_string(i) +
-                                                   "-0",
-                                               from, to)
-                          .sec();
+  double board_busy_sec = 0.0;
+  std::set<std::string> clients;
+  for (const std::string& node : packed.node_names()) {
+    const sim::Board& board = packed.board(node);
+    std::set<std::string> on_board;
+    for (const auto& entry : board.busy_snapshot(from, to)) {
+      on_board.insert(entry.client_id);
+    }
+    vt::Duration client_sum = vt::Duration::nanos(0);
+    for (const std::string& client : on_board) {
+      client_sum += board.client_busy_between(client, from, to);
+    }
+    // Every busy interval on the board belongs to exactly one client, and
+    // the Device Manager leaves none unattributed.
+    EXPECT_EQ(client_sum.ns(), board.busy_between(from, to).ns()) << node;
+    EXPECT_EQ(on_board.count(""), 0u) << node;
+    board_busy_sec += board.busy_between(from, to).sec();
+    clients.insert(on_board.begin(), on_board.end());
   }
-  const double board_busy_sec =
-      packed.board(node).busy_between(from, to).sec();
-  // Every busy interval on the board belongs to exactly one client.
-  EXPECT_NEAR(client_sum_sec, board_busy_sec, 1e-9);
+  // Every function's pod (or its migration replacement) used a board.
+  for (const std::string& function : functions) {
+    EXPECT_TRUE(std::any_of(clients.begin(), clients.end(),
+                            [&](const std::string& client) {
+                              return client.starts_with(function + "-");
+                            }))
+        << function;
+  }
   EXPECT_GT(board_busy_sec, 0.1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, AccountingLedger,
+    ::testing::Values(
+        LedgerMode{"Fifo", devmgr::SchedulerPolicy::kFifo, 1},
+        LedgerMode{"Batching", devmgr::SchedulerPolicy::kBatching, 1},
+        LedgerMode{"TwoRegions", devmgr::SchedulerPolicy::kFifo, 2}),
+    [](const ::testing::TestParamInfo<LedgerMode>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Accounting, UtilizationDefinitionsAgree) {
   testbed::Testbed bed;
@@ -124,7 +161,7 @@ TEST(Accounting, RequestLatencyBoundsDeviceTime) {
   auto device = bed.registry().device_of_instance("fn-0");
   ASSERT_TRUE(device.has_value());
   const double busy_per_request =
-      bed.manager(device->substr(5))
+      bed.board(device->substr(5))
           .client_busy_between("fn-0", vt::Time::zero(),
                                vt::Time::seconds(60))
           .sec() /

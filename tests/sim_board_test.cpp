@@ -1,5 +1,5 @@
-// bf::sim::Board: exclusive timeline, busy accounting, reconfiguration and
-// the bitstream library.
+// bf::sim::Board: exclusive timeline, busy accounting, the owner-tagged
+// occupancy ledger, reconfiguration and the bitstream library.
 #include <gtest/gtest.h>
 
 #include "sim/bitstream.h"
@@ -187,6 +187,189 @@ TEST(Board, TransferTimeDependsOnHostPcie) {
       fast.write(fast_buffer.value(), 0, ByteSpan{data}, fast.busy_until());
   EXPECT_GT(slow_write.value().duration().ns(),
             fast_write.value().duration().ns());
+}
+
+// ---- Occupancy ledger ---------------------------------------------------------
+
+const Bitstream& bitstream(const char* id) {
+  return *BitstreamLibrary::standard().find(id);
+}
+
+// A timing-only board hosting `regions` PR regions (tiny kernel arguments
+// suffice: only the launch's size arguments drive its modeled time).
+BoardConfig timing_board(unsigned regions) {
+  BoardConfig config = small_board(/*functional=*/false);
+  config.pr_regions = regions;
+  return config;
+}
+
+KernelLaunch mm_launch(Board& board, Owner owner) {
+  KernelLaunch launch;
+  launch.kernel = "mm";
+  launch.args = {board.allocate(1024).value(), board.allocate(1024).value(),
+                 board.allocate(1024).value(), std::int64_t{256}};
+  launch.owner = owner;
+  return launch;
+}
+
+TEST(BoardLedger, SameOwnerBackToBackMergesOtherOwnersStaySeparate) {
+  Board board(timing_board(1));
+  ASSERT_TRUE(board.configure(vadd_bitstream(), vt::Time::zero()).ok());
+  const Owner a = board.owner("fn-a");
+  const Owner b = board.owner("fn-b");
+  EXPECT_EQ(board.owner("fn-a"), a);  // interned once
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, Owner{0});
+  auto buffer = board.allocate(kMiB);
+  ASSERT_TRUE(buffer.ok());
+  Bytes data(kMiB);
+  const vt::Time ready = board.busy_until();
+  auto a1 = board.write(buffer.value(), 0, ByteSpan{data}, ready, a);
+  auto a2 = board.write(buffer.value(), 0, ByteSpan{data}, ready, a);
+  auto b1 = board.write(buffer.value(), 0, ByteSpan{data}, ready, b);
+  // Same owner, but not contiguous with b1: a new entry.
+  auto b2 = board.write(buffer.value(), 0, ByteSpan{data},
+                        board.busy_until() + vt::Duration::millis(1), b);
+  ASSERT_TRUE(a1.ok() && a2.ok() && b1.ok() && b2.ok());
+
+  const auto snapshot =
+      board.busy_snapshot(vt::Time::zero(), vt::Time::seconds(60));
+  ASSERT_EQ(snapshot.size(), 3u);
+  EXPECT_EQ(snapshot[0].client_id, "fn-a");
+  EXPECT_EQ(snapshot[0].start, a1.value().start);
+  EXPECT_EQ(snapshot[0].end, a2.value().end);
+  EXPECT_EQ(snapshot[1].client_id, "fn-b");
+  EXPECT_EQ(snapshot[1].start, b1.value().start);
+  EXPECT_EQ(snapshot[1].end, b1.value().end);
+  EXPECT_EQ(snapshot[2].client_id, "fn-b");
+  EXPECT_EQ(snapshot[2].start, b2.value().start);
+  EXPECT_EQ(
+      board.client_busy_between("fn-a", vt::Time::zero(), vt::Time::seconds(60))
+          .ns(),
+      a1.value().duration().ns() + a2.value().duration().ns());
+}
+
+TEST(BoardLedger, OwnerZeroIsUnattributed) {
+  Board board(timing_board(1));
+  ASSERT_TRUE(board.configure(vadd_bitstream(), vt::Time::zero()).ok());
+  EXPECT_EQ(board.owner(""), Owner{0});
+  auto buffer = board.allocate(kMiB);
+  ASSERT_TRUE(buffer.ok());
+  Bytes data(kMiB);
+  auto write =
+      board.write(buffer.value(), 0, ByteSpan{data}, board.busy_until());
+  ASSERT_TRUE(write.ok());
+  const vt::Time horizon = write.value().end + vt::Duration::seconds(1);
+  const auto snapshot = board.busy_snapshot(vt::Time::zero(), horizon);
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot[0].client_id, "");
+  EXPECT_EQ(board.client_busy_between("", vt::Time::zero(), horizon).ns(),
+            write.value().duration().ns());
+  EXPECT_EQ(board.client_busy_between("ghost", vt::Time::zero(), horizon).ns(),
+            0);
+}
+
+TEST(BoardLedger, OverlappingRegionKernelsKeepTheirOwners) {
+  Board board(timing_board(2));
+  ASSERT_TRUE(
+      board.configure_region(0, bitstream(BitstreamLibrary::kSobel),
+                             vt::Time::zero())
+          .ok());
+  ASSERT_TRUE(
+      board.configure_region(1, bitstream(BitstreamLibrary::kMatMul),
+                             vt::Time::zero())
+          .ok());
+  const Owner a = board.owner("fn-sobel");
+  const Owner b = board.owner("fn-mm");
+  KernelLaunch sobel;
+  sobel.kernel = "sobel";
+  sobel.args = {board.allocate(640 * 480 * 4).value(),
+                board.allocate(640 * 480 * 4).value(), std::int64_t{640},
+                std::int64_t{480}};
+  sobel.owner = a;
+  const vt::Time ready = board.busy_until();
+  auto sobel_run = board.run_kernel(sobel, ready);
+  auto mm_run = board.run_kernel(mm_launch(board, b), ready);
+  ASSERT_TRUE(sobel_run.ok() && mm_run.ok());
+  EXPECT_EQ(sobel_run.value().start, mm_run.value().start);  // overlapping
+  // Contiguous on region 1 and the same owner: extends the mm entry.
+  auto mm_again = board.run_kernel(mm_launch(board, b), mm_run.value().end);
+  ASSERT_TRUE(mm_again.ok());
+  EXPECT_EQ(mm_again.value().start, mm_run.value().end);
+
+  const vt::Time horizon = board.busy_until() + vt::Duration::seconds(1);
+  EXPECT_EQ(board.client_busy_between("fn-sobel", ready, horizon).ns(),
+            sobel_run.value().duration().ns());
+  EXPECT_EQ(board.client_busy_between("fn-mm", ready, horizon).ns(),
+            mm_run.value().duration().ns() + mm_again.value().duration().ns());
+  EXPECT_EQ(board.busy_snapshot(ready, horizon).size(), 2u);
+}
+
+TEST(BoardLedger, BatchAttributesEachLaunchToItsOwner) {
+  Board board(timing_board(1));
+  ASSERT_TRUE(
+      board.configure(bitstream(BitstreamLibrary::kMatMul), vt::Time::zero())
+          .ok());
+  const Owner a = board.owner("fn-a");
+  const Owner b = board.owner("fn-b");
+  const std::vector<KernelLaunch> launches = {
+      mm_launch(board, a), mm_launch(board, b), mm_launch(board, a)};
+  auto pass = board.run_kernel_batch(launches, board.busy_until());
+  ASSERT_TRUE(pass.ok());
+  const std::vector<Board::Interval>& parts = pass.value();
+  ASSERT_EQ(parts.size(), 3u);
+
+  const vt::Time from = parts.front().start;
+  const vt::Time to = parts.back().end;
+  const auto snapshot = board.busy_snapshot(from, to);
+  ASSERT_EQ(snapshot.size(), 3u);
+  const char* expected[] = {"fn-a", "fn-b", "fn-a"};
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(snapshot[i].client_id, expected[i]);
+    EXPECT_EQ(snapshot[i].start, parts[i].start);
+    EXPECT_EQ(snapshot[i].end, parts[i].end);
+  }
+  EXPECT_EQ(board.client_busy_between("fn-a", from, to).ns(),
+            parts[0].duration().ns() + parts[2].duration().ns());
+  EXPECT_EQ(board.client_busy_between("fn-b", from, to).ns(),
+            parts[1].duration().ns());
+}
+
+TEST(BoardLedger, ClientSumsEqualBoardBusyInEveryWindow) {
+  Board board(timing_board(1));
+  ASSERT_TRUE(
+      board.configure(bitstream(BitstreamLibrary::kMatMul), vt::Time::zero())
+          .ok());
+  const Owner a = board.owner("fn-a");
+  const Owner b = board.owner("fn-b");
+  auto buffer = board.allocate(kMiB);
+  ASSERT_TRUE(buffer.ok());
+  Bytes data(kMiB);
+  const vt::Time start = board.busy_until();
+  ASSERT_TRUE(board.write(buffer.value(), 0, ByteSpan{data}, start, a).ok());
+  ASSERT_TRUE(board.write(buffer.value(), 0, ByteSpan{data}, start).ok());
+  ASSERT_TRUE(board.run_kernel(mm_launch(board, b), start).ok());
+  ASSERT_TRUE(board
+                  .run_kernel_batch({mm_launch(board, a), mm_launch(board, b)},
+                                    start + vt::Duration::millis(50))
+                  .ok());
+  Bytes out(kMiB);
+  ASSERT_TRUE(
+      board.read(buffer.value(), 0, MutableByteSpan{out}, start, b).ok());
+
+  const vt::Time end = board.busy_until();
+  const vt::Duration third = vt::Duration::nanos((end - start).ns() / 3);
+  const std::pair<vt::Time, vt::Time> windows[] = {
+      {vt::Time::zero(), end + vt::Duration::seconds(1)},
+      {start + third, start + third + third},  // clips at both edges
+      {start, start + third}};
+  for (const auto& [from, to] : windows) {
+    const vt::Duration sum = board.client_busy_between("", from, to) +
+                             board.client_busy_between("fn-a", from, to) +
+                             board.client_busy_between("fn-b", from, to);
+    EXPECT_EQ(sum.ns(), board.busy_between(from, to).ns());
+  }
+  EXPECT_GT(board.busy_between(vt::Time::zero(), end).ns(), 0);
 }
 
 }  // namespace

@@ -64,10 +64,10 @@ TEST(TraceBuilder, CapturesRealBoardOccupancy) {
 
   TraceBuilder builder;
   for (const std::string& node : bed.node_names()) {
-    builder.add_board_occupancy(bed.manager(node), vt::Time::zero(),
+    builder.add_board_occupancy(bed.board(node), vt::Time::zero(),
                                 vt::Time::seconds(30));
   }
-  EXPECT_GT(builder.span_count(), 50u);  // ~4s x 20rq/s x ops
+  EXPECT_GT(builder.span_count(), 50u);  // ~4s x 20rq/s x 2 tenants
   const std::string json = builder.to_json();
   EXPECT_NE(json.find("sobel-1-0"), std::string::npos);
   EXPECT_NE(json.find("sobel-2-0"), std::string::npos);
@@ -82,9 +82,9 @@ TEST(TraceBuilder, CapturesRealBoardOccupancy) {
   std::remove(path.c_str());
 }
 
-// Duck-typed stand-ins for DeviceManager/Board: add_board_occupancy only
-// needs busy_snapshot() and board().id(), which lets the clipping contract
-// be pinned without driving a whole testbed.
+// Duck-typed stand-in for sim::Board: add_board_occupancy only needs
+// busy_snapshot() and id(), which lets the clipping contract be pinned
+// without driving a whole testbed.
 struct FakeBusy {
   std::string client_id;
   vt::Time start;
@@ -92,16 +92,11 @@ struct FakeBusy {
 };
 
 struct FakeBoard {
-  std::string id_;
-  [[nodiscard]] const std::string& id() const { return id_; }
-};
-
-struct FakeManager {
-  FakeBoard board_{"fpga-fake"};
+  std::string id_ = "fpga-fake";
   std::vector<FakeBusy> intervals;
 
-  [[nodiscard]] const FakeBoard& board() const { return board_; }
-  // Mirrors DeviceManager::busy_snapshot: returns the raw (unclipped)
+  [[nodiscard]] const std::string& id() const { return id_; }
+  // Mirrors sim::Board::busy_snapshot: returns the raw (unclipped)
   // intervals overlapping [from, to].
   [[nodiscard]] std::vector<FakeBusy> busy_snapshot(vt::Time from,
                                                     vt::Time to) const {
@@ -117,15 +112,15 @@ struct FakeManager {
 // their raw endpoints, leaking activity outside the requested [from, to]
 // window; they must be clipped to the edge instead of dropped or leaked.
 TEST(TraceBuilder, ClipsStraddlingIntervalsToWindowEdges) {
-  FakeManager manager;
-  manager.intervals = {
+  FakeBoard board;
+  board.intervals = {
       {"left", vt::Time::millis(10), vt::Time::millis(50)},    // straddles from
       {"inside", vt::Time::millis(25), vt::Time::millis(35)},  // untouched
       {"right", vt::Time::millis(30), vt::Time::millis(90)},   // straddles to
       {"outside", vt::Time::millis(90), vt::Time::millis(99)},  // excluded
   };
   TraceBuilder builder;
-  builder.add_board_occupancy(manager, vt::Time::millis(20),
+  builder.add_board_occupancy(board, vt::Time::millis(20),
                               vt::Time::millis(40));
   const std::vector<Span> spans = builder.spans();
   ASSERT_EQ(spans.size(), 3u);
@@ -217,7 +212,7 @@ TEST(TraceBuilder, WindowClipsSpans) {
   ASSERT_TRUE(bed.gateway().invoke("fn").ok());
   TraceBuilder empty_window;
   for (const std::string& node : bed.node_names()) {
-    empty_window.add_board_occupancy(bed.manager(node),
+    empty_window.add_board_occupancy(bed.board(node),
                                      vt::Time::seconds(100),
                                      vt::Time::seconds(200));
   }
