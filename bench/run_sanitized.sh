@@ -8,8 +8,9 @@
 # app threads, devmgr workers and board completions concurrently), the
 # registry churn invariant stress harness, and the device-scheduler policy
 # suite (dispatcher threads push while the worker pops; the worker writes the
-# board occupancy ledger that testbed threads read) — under each. Any
-# sanitizer report fails the run.
+# board occupancy ledger that testbed threads read; the gateway's prewarm
+# parks idle tenants while the worker pops) — under each. Any sanitizer
+# report fails the run.
 #
 # Usage: bench/run_sanitized.sh [thread|address ...]
 #   (defaults to both; pass a subset to save time)

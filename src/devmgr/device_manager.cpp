@@ -94,6 +94,8 @@ DeviceManager::DeviceManager(DeviceManagerConfig config, sim::Board* board,
       metrics_.counter("bf_devmgr_health_probes_total", labels);
   tasks_cancelled_counter_ =
       metrics_.counter("bf_devmgr_tasks_cancelled_total", labels);
+  gate_fallbacks_counter_ =
+      metrics_.counter("bf_devmgr_gate_fallbacks_total", labels);
 
   endpoint_.gate().set_stall_grace(config_.gate_stall_grace);
   endpoint_.set_handler([this](std::shared_ptr<net::Connection> connection) {
@@ -635,6 +637,9 @@ void DeviceManager::worker_loop() {
   for (;;) {
     PopResult next = scheduler_->pop_next_safe(endpoint_.gate());
     if (!next.task.has_value()) break;  // closed and drained
+    if (next.reason == PopReason::kStallFallback) {
+      gate_fallbacks_counter_->increment();
+    }
     if (config_.record_execution_journal) {
       std::lock_guard lock(state_mutex_);
       journal_.push_back(ExecutionRecord{next.task->ready, next.task->seq,

@@ -240,6 +240,8 @@ class DeviceManager {
   std::shared_ptr<metrics::Gauge> queue_depth_gauge_;
   std::shared_ptr<metrics::Counter> health_probes_counter_;
   std::shared_ptr<metrics::Counter> tasks_cancelled_counter_;
+  // Pops released by the gate's stall-breaker instead of a safe bound.
+  std::shared_ptr<metrics::Counter> gate_fallbacks_counter_;
 };
 
 }  // namespace bf::devmgr

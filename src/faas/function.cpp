@@ -27,7 +27,14 @@ Status FunctionInstance::cold_start_locked() {
                                           session_);
   if (!context.ok()) return context.status();
   context_ = std::move(context.value());
-  return workload_->setup(*context_);
+  Status setup = workload_->setup(*context_);
+  if (!setup.ok()) {
+    // A half-set-up workload must not serve requests: drop it so the next
+    // warm()/invoke() cold-starts from scratch.
+    workload_->teardown();
+    context_.reset();
+  }
+  return setup;
 }
 
 Result<InvokeResult> FunctionInstance::invoke() {
@@ -125,6 +132,16 @@ Status FunctionInstance::warm() {
     return Status::Ok();
   }
   return cold_start_locked();
+}
+
+void FunctionInstance::park() {
+  std::lock_guard lock(mutex_);
+  if (context_ != nullptr) context_->park();
+}
+
+void FunctionInstance::unpark() {
+  std::lock_guard lock(mutex_);
+  if (context_ != nullptr) context_->unpark();
 }
 
 void FunctionInstance::advance_clock_to(vt::Time t) {

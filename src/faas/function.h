@@ -88,8 +88,17 @@ class FunctionInstance {
   // request. No-op when already warm or in fork-per-request mode. Warming
   // sequentially before driving load makes every tenant's device-manager
   // session (and gate registration) exist up front, so cross-tenant task
-  // order never depends on which driver thread connected first.
+  // order never depends on which driver thread connected first. A failed
+  // setup tears the workload and context down again, so the next warm() or
+  // invoke() retries the whole cold start.
   Status warm();
+
+  // Declares the instance idle until unpark() or its next invoke(), so the
+  // device's gate stops waiting on it (ocl::Context::park). Gateway::warm
+  // parks every other instance while it cold-starts one. No-op without a
+  // live context (cold, or fork-per-request).
+  void park();
+  void unpark();
 
   // Tears down the OpenCL context (end of experiment / pod deletion) so the
   // device manager's gate no longer waits on this tenant.

@@ -208,6 +208,21 @@ std::size_t Gateway::instance_count() const {
 
 Status Gateway::warm(const std::string& function) {
   for (const auto& instance : instances(function)) {
+    // Parks every other instance for the duration of this cold start and
+    // unparks them on every exit path.
+    struct ParkOthers {
+      std::vector<std::shared_ptr<FunctionInstance>> parked;
+      ~ParkOthers() {
+        for (const auto& other : parked) other->unpark();
+      }
+    } guard;
+    {
+      std::lock_guard lock(mutex_);
+      for (const auto& [pod_name, other] : pods_) {
+        if (other != instance) guard.parked.push_back(other);
+      }
+    }
+    for (const auto& other : guard.parked) other->park();
     if (Status s = instance->warm(); !s.ok()) return s;
   }
   return Status::Ok();

@@ -73,6 +73,13 @@ class Gateway {
   // (FunctionInstance::warm). Called sequentially before driving load it
   // makes session/gate registration order deterministic instead of a race
   // between driver threads. Returns the first failure.
+  //
+  // Contract: no other thread invokes any instance while warm runs. The
+  // calling thread is then the only emitter, so during each cold start every
+  // other instance is parked (FunctionInstance::park) and a shared board's
+  // gate never waits out its stall grace on an idle tenant. Every parked
+  // instance is unparked again, on failure too. An instance invoked anyway
+  // ends its park at its first send.
   Status warm(const std::string& function);
 
   // Destroys every instance's OpenCL context (end of experiment).

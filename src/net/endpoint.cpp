@@ -221,6 +221,11 @@ void Connection::wake_announce(WaitTag tag, std::uint64_t id, vt::Time at) {
 
 void Connection::announce(vt::Time t) { client_announce(t); }
 
+void Connection::park() {
+  // kNone disarms any armed wait, so wake_announce cannot re-anchor it.
+  client_announce(vt::Time::infinite());
+}
+
 void Connection::close() {
   if (closed_.exchange(true)) return;
   inbox_.close();

@@ -137,6 +137,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void wake_announce(WaitTag tag, std::uint64_t id, vt::Time at);
   void announce(vt::Time t);
 
+  // The client will not emit until its next call/send/announce, whatever
+  // the wait: its own bound becomes infinite and owned, so server wakes
+  // cannot lower it. Frames already in flight or being processed still hold
+  // the published bound at their arrival. Only valid while some other
+  // thread is known to be the sole emitter (Gateway::warm's sequential
+  // prewarm); the next call/send/announce re-anchors the bound as usual.
+  void park();
+
   // Client-initiated close: wakes the server dispatcher (inbox closed) and
   // unregisters the gate source.
   void close();

@@ -104,6 +104,13 @@ class Context {
 
   // clCreateCommandQueue (in-order).
   virtual Result<std::unique_ptr<CommandQueue>> create_queue() = 0;
+
+  // Not OpenCL: tells a shared device's virtual-time gate that this context
+  // stays idle until unpark() or its next call, so the device need not wait
+  // for it (docs/VIRTUAL_TIME.md). Only the FaaS layer's sequential prewarm
+  // parks contexts. No-ops for runtimes without a gate (native).
+  virtual void park() {}
+  virtual void unpark() {}
 };
 
 class Runtime {

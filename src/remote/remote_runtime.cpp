@@ -234,6 +234,9 @@ class RemoteContext final : public ocl::Context {
 
   Result<std::unique_ptr<ocl::CommandQueue>> create_queue() override;
 
+  void park() override { connection_->park(); }
+  void unpark() override { connection_->announce(session_->now()); }
+
   // --- used by RemoteQueue ----------------------------------------------------
 
   [[nodiscard]] net::Connection& connection() { return *connection_; }

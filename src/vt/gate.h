@@ -88,7 +88,9 @@ class Gate {
   // is genuinely idle (e.g. two sessions driven by one application thread)
   // would otherwise deadlock the consumer; a real (non-virtual-time) system
   // simply executes in arrival order in that situation, which is what the
-  // fallback reproduces. Active closed-loop producers never trip it.
+  // fallback reproduces. Producers that keep sending never trip it, and
+  // neither does an idle one that announced an infinite bound
+  // (net::Connection::park).
   //
   // When `fallback` is non-null it is set to true iff the wait proceeded
   // via the stall-breaker rather than a genuinely safe bound — consumers

@@ -1,8 +1,11 @@
 // bf::faas: gateway, function instances and execution modes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "loadgen/loadgen.h"
 #include "testbed/testbed.h"
+#include "workloads/alexnet.h"
 #include "workloads/sobel.h"
 
 namespace bf::faas {
@@ -12,6 +15,57 @@ workloads::WorkloadFactory sobel_factory() {
   return [] {
     return std::make_unique<workloads::SobelWorkload>(640, 480);
   };
+}
+
+// Sobel whose first setup() programs the board, creates its buffers and then
+// fails, leaving the workload half set up. Later setups succeed.
+class FailFirstSetup final : public workloads::Workload {
+ public:
+  explicit FailFirstSetup(std::shared_ptr<std::atomic<int>> setups)
+      : setups_(std::move(setups)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::string bitstream() const override {
+    return inner_.bitstream();
+  }
+  [[nodiscard]] std::string accelerator() const override {
+    return inner_.accelerator();
+  }
+  Status setup(ocl::Context& context) override {
+    Status status = inner_.setup(context);
+    if (setups_->fetch_add(1) == 0 && status.ok()) {
+      return Internal("setup failed after programming");
+    }
+    return status;
+  }
+  Status handle_request(ocl::Context& context) override {
+    return inner_.handle_request(context);
+  }
+  void teardown() override { inner_.teardown(); }
+  [[nodiscard]] std::uint64_t request_bytes_in() const override {
+    return inner_.request_bytes_in();
+  }
+  [[nodiscard]] std::uint64_t request_bytes_out() const override {
+    return inner_.request_bytes_out();
+  }
+
+ private:
+  std::shared_ptr<std::atomic<int>> setups_;
+  workloads::SobelWorkload inner_{640, 480};
+};
+
+// A testbed whose only board is node A's, so every tenant shares one Device
+// Manager and one gate.
+void keep_only_node_a(testbed::Testbed& bed) {
+  ASSERT_TRUE(bed.decommission_node("B").ok());
+  ASSERT_TRUE(bed.decommission_node("C").ok());
+}
+
+double gate_fallbacks(devmgr::DeviceManager& manager) {
+  return manager.metrics()
+      .counter("bf_devmgr_gate_fallbacks_total",
+               {{"device", manager.board().id()}, {"manager", manager.id()}})
+      ->value();
 }
 
 TEST(Gateway, DeployCreatesInstances) {
@@ -130,6 +184,57 @@ TEST(FunctionInstance, MigrationRebindsToNewDevice) {
   // The replacement instance serves requests (fresh cold start included).
   auto result = after->invoke();
   EXPECT_TRUE(result.ok()) << result.status().to_string();
+}
+
+TEST(Gateway, SequentialPrewarmNeverWaitsOnTheGateStallBreaker) {
+  // Two AlexNet tenants on one board, as two of shm-alexnet-4t's share one:
+  // the second cold start queues behind the first tenant's weight upload,
+  // past the first tenant's idle cursor. Parking the idle tenant lets the
+  // worker pop those tasks at once instead of after the 1 s stall grace.
+  testbed::Testbed bed;
+  keep_only_node_a(bed);
+  for (const char* name : {"alexnet-a", "alexnet-b"}) {
+    ASSERT_TRUE(bed.deploy_blastfunction(name, [] {
+                     return std::make_unique<workloads::AlexNetWorkload>();
+                   }).ok());
+  }
+  ASSERT_TRUE(bed.gateway().warm("alexnet-a").ok());
+  ASSERT_TRUE(bed.gateway().warm("alexnet-b").ok());
+
+  devmgr::DeviceManager& manager = bed.manager("A");
+  EXPECT_EQ(gate_fallbacks(manager), 0.0);
+  // Nothing is left parked: the idle first tenant holds the gate at its
+  // cursor again.
+  EXPECT_EQ(manager.endpoint().gate().min_bound(),
+            bed.gateway().instance("alexnet-a")->now());
+}
+
+TEST(FunctionInstance, FailedSetupColdStartsAgainAndWarmUnparks) {
+  testbed::Testbed bed;
+  keep_only_node_a(bed);
+  ASSERT_TRUE(bed.deploy_blastfunction("steady", sobel_factory()).ok());
+  ASSERT_TRUE(bed.gateway().warm("steady").ok());
+  auto setups = std::make_shared<std::atomic<int>>(0);
+  ASSERT_TRUE(bed.deploy_blastfunction("flaky", [setups] {
+                   return std::make_unique<FailFirstSetup>(setups);
+                 }).ok());
+  auto flaky = bed.gateway().instance("flaky");
+
+  EXPECT_EQ(bed.gateway().warm("flaky").code(), ErrorCode::kInternal);
+  EXPECT_EQ(setups->load(), 1);
+  EXPECT_TRUE(flaky->cold());
+  // The failed warm unparked the steady tenant (the flaky one's session is
+  // gone with its context).
+  vt::Gate& gate = bed.manager("A").endpoint().gate();
+  EXPECT_EQ(gate.source_count(), 1u);
+  EXPECT_EQ(gate.min_bound(), bed.gateway().instance("steady")->now());
+
+  // The next warm re-runs the whole cold start, and the instance serves.
+  ASSERT_TRUE(bed.gateway().warm("flaky").ok());
+  EXPECT_EQ(setups->load(), 2);
+  EXPECT_FALSE(flaky->cold());
+  auto served = flaky->invoke();
+  ASSERT_TRUE(served.ok()) << served.status().to_string();
 }
 
 }  // namespace

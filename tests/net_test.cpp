@@ -196,6 +196,43 @@ TEST(Connection, InFlightFramesHoldTheGateBound) {
   EXPECT_LT(endpoint.gate().min_bound(), vt::Time::millis(100));
 }
 
+TEST(Connection, ParkedBoundIsInfiniteButInFlightFramesStillHoldIt) {
+  ServerEndpoint endpoint("parked");
+  endpoint.set_handler([](std::shared_ptr<Connection>) {
+    // No dispatcher: frames stay in the inbox.
+  });
+  vt::Cursor cursor;
+  cursor.advance(vt::Duration::millis(10));
+  const TransportCost cost = local_control(sim::make_node_b());
+  auto connected = endpoint.connect("client", cost, cursor);
+  ASSERT_TRUE(connected.ok());
+  Connection& connection = *connected.value();
+
+  // Nothing in flight: a parked client holds nothing back.
+  connection.park();
+  EXPECT_TRUE(endpoint.gate().min_bound().is_infinite());
+
+  // A wake for a wait armed before the park cannot un-park it.
+  connection.prepare_wait(Connection::WaitTag::kEvent, 7);
+  connection.park();
+  connection.wake_announce(Connection::WaitTag::kEvent, 7,
+                           vt::Time::millis(20));
+  EXPECT_TRUE(endpoint.gate().min_bound().is_infinite());
+
+  // A frame sent before the park and not yet dispatched holds the bound at
+  // its arrival.
+  ASSERT_TRUE(connection.send(proto::Method::kFlush, 1, {}, cursor).ok());
+  const vt::Time sent = cursor.now();
+  EXPECT_EQ(endpoint.gate().min_bound(), sent);
+  connection.park();
+  EXPECT_EQ(endpoint.gate().min_bound(),
+            sent + cost.deliver_cost(Frame::kOverheadBytes));
+
+  // Announcing the cursor ends the park.
+  connection.announce(cursor.now());
+  EXPECT_EQ(endpoint.gate().min_bound(), cursor.now());
+}
+
 TEST(Connection, ArrivalsAreInOrderPerConnection) {
   // A big frame followed by a tiny frame: FIFO (TCP) delivery means the tiny
   // frame cannot arrive earlier.
