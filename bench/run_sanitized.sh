@@ -3,7 +3,9 @@
 # CMakePresets.json) and runs the fault-, parallel-, recovery-, trace-,
 # churn- and sched-labeled tests — the fault-injection matrix plus the
 # queue/gate/event/pump suites it leans on, the worker-pool /
-# parallel-kernel suites, the deadline/retry/health recovery suite, the
+# parallel-kernel suites and the shm segment suite (a client thread stages
+# and fetches while a manager thread allocates, marks zero and releases),
+# the deadline/retry/health recovery suite, the
 # golden-trace / span-invariant suites (TraceBuilder collects spans from
 # app threads, devmgr workers and board completions concurrently), the
 # registry churn invariant stress harness, and the device-scheduler policy

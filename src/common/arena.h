@@ -94,11 +94,15 @@ inline ByteArena& byte_arena() {
 
 }  // namespace detail
 
+// Counters cover only the pool's range: acquires of kInlineCapacity <
+// capacity <= kMaxClassBytes and recycles of heap buffers whose capacity is
+// a class size (kMinClassBytes..kMaxClassBytes). Inline and oversized
+// requests never touch the pool, so they move no counter.
 struct Stats {
   std::uint64_t hits = 0;      // acquire served from a free list
   std::uint64_t misses = 0;    // acquire fell through to the heap
   std::uint64_t recycled = 0;  // buffers returned to a free list
-  std::uint64_t dropped = 0;   // buffers freed (class full / too small)
+  std::uint64_t dropped = 0;   // buffers freed because their class was full
 };
 
 [[nodiscard]] inline Stats stats() {
@@ -114,43 +118,42 @@ struct Stats {
 // resize as usual; pairing every retired payload with recycle() keeps the
 // steady state allocation-free.
 [[nodiscard]] inline Bytes acquire(std::size_t capacity) {
+  Bytes buffer;
+  if (capacity <= Bytes::kInlineCapacity || capacity > detail::kMaxClassBytes) {
+    buffer.reserve(capacity);  // inline or oversized: not the pool's range
+    return buffer;
+  }
   auto& arena = detail::byte_arena();
-  if (capacity > Bytes::kInlineCapacity && capacity <= detail::kMaxClassBytes) {
-    const std::size_t index = detail::class_index(capacity);
+  const std::size_t index = detail::class_index(capacity);
+  {
     auto& size_class = arena.classes[index];
     detail::SpinGuard guard(size_class.lock);
     if (!size_class.buffers.empty()) {
-      Bytes buffer = std::move(size_class.buffers.back());
+      buffer = std::move(size_class.buffers.back());
       size_class.buffers.pop_back();
       arena.hits.fetch_add(1, std::memory_order_relaxed);
       return buffer;
     }
   }
   arena.misses.fetch_add(1, std::memory_order_relaxed);
-  Bytes buffer;
-  if (capacity > Bytes::kInlineCapacity && capacity <= detail::kMaxClassBytes) {
-    // Reserve the full class size so the capacity is a power of two:
-    // recycle() then files this buffer under the same class acquire() will
-    // search for a same-sized request. An exact-size reservation would
-    // recycle into the class *below* (capacity guarantee) and miss forever.
-    buffer.reserve(std::size_t{1} << (detail::class_index(capacity) + 7));
-  } else {
-    buffer.reserve(capacity);
-  }
+  // Reserve the full class size so the capacity is a power of two:
+  // recycle() then files this buffer under the same class acquire() will
+  // search for a same-sized request. An exact-size reservation would
+  // recycle into the class *below* (capacity guarantee) and miss forever.
+  buffer.reserve(std::size_t{1} << (index + 7));
   return buffer;
 }
 
 // Returns a retired buffer's heap storage to its size-class free list.
-// Inline-storage buffers, oversized buffers and full classes drop to the
-// heap as before — recycle is always safe to call.
+// Inline-storage buffers, buffers outside the class range and full classes
+// drop to the heap as before — recycle is always safe to call.
 inline void recycle(Bytes&& buffer) {
-  auto& arena = detail::byte_arena();
   const std::size_t capacity = buffer.capacity();
   if (!buffer.is_heap() || capacity < detail::kMinClassBytes ||
       capacity > detail::kMaxClassBytes) {
-    arena.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return;  // not the pool's range
   }
+  auto& arena = detail::byte_arena();
   // File under the largest class the buffer fully covers, so acquire()'s
   // capacity guarantee holds.
   const std::size_t index = detail::class_index(capacity) -

@@ -930,19 +930,23 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
         if (!slot.ok()) return slot.status();
         auto view = inputs.segment->writable_view(slot.value());
         if (!view.ok()) return view.status();
+        // A range with no data leaves the slot unwritten: marking it zero
+        // defers the zeros to the client's fetch, the transfer's one pass.
+        bool zeros = false;
         auto interval = board_->read(inputs.buffer, op.offset, view.value(),
-                                     ready, inputs.owner);
+                                     ready, inputs.owner, &zeros);
         if (!interval.ok()) {
           (void)inputs.segment->release(slot.value());
           return interval.status();
         }
+        if (zeros) (void)inputs.segment->mark_zero(slot.value());
         completion.shm_slot = slot.value();
         completion.size = op.size;
         return interval;
       }
-      // Pooled read staging; no zero-fill needed because Board::read fully
-      // defines the span on success (zero-fill + copy-out; never-written
-      // device memory reads as zeros) and failures never ship `out`.
+      // Pooled read staging; no zero-fill needed because Board::read without
+      // `zeros` fully defines the span on success (the data, or zeros where
+      // the buffer holds none) and failures never ship `out`.
       Bytes out = arena::acquire(op.size);
       out.resize_for_overwrite(op.size);
       auto interval = board_->read(inputs.buffer, op.offset,

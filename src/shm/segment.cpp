@@ -32,8 +32,8 @@ Result<std::int64_t> Segment::stage(ByteSpan data, vt::Cursor& cursor) {
   std::int64_t slot = 0;
   {
     std::lock_guard lock(mutex_);
-    // No zero-fill: the copy below overwrites the slot's full logical size.
-    auto allocated = allocate_locked(data.size(), /*zero=*/false);
+    // The copy below defines the slot's full logical size.
+    auto allocated = allocate_locked(data.size());
     if (!allocated.ok()) return allocated.status();
     slot = allocated.value();
     std::copy(data.begin(), data.end(), slots_[slot].storage.begin());
@@ -78,11 +78,16 @@ Status Segment::fetch(std::int64_t slot, MutableByteSpan out,
                              "B, caller expects " +
                              std::to_string(out.size()) + "B");
     }
-    std::copy_n(it->second.storage.begin(), it->second.size, out.begin());
+    if (it->second.zero) {
+      // The modeled copy of a zero slot: the only host pass over the bytes.
+      std::fill(out.begin(), out.end(), std::uint8_t{0});
+    } else {
+      std::copy_n(it->second.storage.begin(), it->second.size, out.begin());
+      recycle_locked(std::move(it->second.storage));
+    }
     bytes_copied_ += out.size();
     ++copies_;
     used_ -= it->second.size;
-    recycle_locked(std::move(it->second.storage));
     slots_.erase(it);
   }
   cursor.advance(copy_model_.copy_time(out.size()));
@@ -99,6 +104,7 @@ Result<Bytes> Segment::fetch_take(std::int64_t slot, vt::Cursor& cursor) {
       return NotFound("unknown shm slot " + std::to_string(slot));
     }
     size = it->second.size;
+    materialize_locked(it->second);
     out = std::move(it->second.storage);
     // Recycled backing may be larger than the slot's logical size; shrink
     // (no reallocation, contents preserved) so callers see exact payloads.
@@ -112,18 +118,15 @@ Result<Bytes> Segment::fetch_take(std::int64_t slot, vt::Cursor& cursor) {
   return out;
 }
 
-Result<ByteSpan> Segment::view(std::int64_t slot) const {
-  std::lock_guard lock(mutex_);
-  auto it = slots_.find(slot);
-  if (it == slots_.end()) {
-    return NotFound("unknown shm slot " + std::to_string(slot));
-  }
-  return ByteSpan{it->second.storage.data(), it->second.size};
+Result<ByteSpan> Segment::view(std::int64_t slot) {
+  auto span = writable_view(slot);
+  if (!span.ok()) return span.status();
+  return ByteSpan{span.value()};
 }
 
 Result<std::int64_t> Segment::allocate(std::uint64_t size) {
   std::lock_guard lock(mutex_);
-  return allocate_locked(size, /*zero=*/true);
+  return allocate_locked(size);
 }
 
 Result<MutableByteSpan> Segment::writable_view(std::int64_t slot) {
@@ -132,7 +135,21 @@ Result<MutableByteSpan> Segment::writable_view(std::int64_t slot) {
   if (it == slots_.end()) {
     return NotFound("unknown shm slot " + std::to_string(slot));
   }
+  materialize_locked(it->second);
   return MutableByteSpan{it->second.storage.data(), it->second.size};
+}
+
+Status Segment::mark_zero(std::int64_t slot) {
+  std::lock_guard lock(mutex_);
+  auto it = slots_.find(slot);
+  if (it == slots_.end()) {
+    return NotFound("unknown shm slot " + std::to_string(slot));
+  }
+  if (!it->second.zero) {
+    recycle_locked(std::move(it->second.storage));  // leaves it empty
+    it->second.zero = true;
+  }
+  return Status::Ok();
 }
 
 Status Segment::release(std::int64_t slot) {
@@ -142,7 +159,7 @@ Status Segment::release(std::int64_t slot) {
     return NotFound("unknown shm slot " + std::to_string(slot));
   }
   used_ -= it->second.size;
-  recycle_locked(std::move(it->second.storage));
+  if (!it->second.zero) recycle_locked(std::move(it->second.storage));
   slots_.erase(it);
   return Status::Ok();
 }
@@ -167,7 +184,7 @@ std::size_t Segment::slot_count() const {
   return slots_.size();
 }
 
-Result<std::int64_t> Segment::allocate_locked(std::uint64_t size, bool zero) {
+Result<std::int64_t> Segment::allocate_locked(std::uint64_t size) {
   if (size == 0) return InvalidArgument("zero-size shm slot");
   if (used_ + size > capacity_) {
     return ResourceExhausted("shm segment full: " + std::to_string(used_) +
@@ -175,6 +192,14 @@ Result<std::int64_t> Segment::allocate_locked(std::uint64_t size, bool zero) {
   }
   Slot slot;
   slot.size = size;
+  slot.storage = take_storage_locked(size);
+  const std::int64_t id = next_slot_++;
+  slots_.emplace(id, std::move(slot));
+  used_ += size;
+  return id;
+}
+
+Bytes Segment::take_storage_locked(std::uint64_t size) {
   // Reuse the smallest spare buffer that fits before allocating fresh.
   std::size_t best = spare_.size();
   for (std::size_t i = 0; i < spare_.size(); ++i) {
@@ -184,31 +209,25 @@ Result<std::int64_t> Segment::allocate_locked(std::uint64_t size, bool zero) {
       best = i;
     }
   }
+  Bytes storage;
   if (best != spare_.size()) {
-    slot.storage = std::move(spare_[best]);
-    spare_bytes_ -= slot.storage.capacity();
+    storage = std::move(spare_[best]);
+    spare_bytes_ -= storage.capacity();
     spare_.erase(spare_.begin() + static_cast<std::ptrdiff_t>(best));
-    if (slot.storage.size() < size) slot.storage.resize(size);
-    if (zero) {
-      std::fill_n(slot.storage.begin(), size, std::uint8_t{0});
-    }
   } else {
-    // Spare-cache miss: fall back to the process-wide arena before the
-    // heap. Pooled buffers carry stale contents, so the zero=true path
-    // (manager-side read slots — sim::DeviceMemory materializes lazily and
-    // skips the copy-out for never-written buffers) must zero explicitly;
-    // the zero=false path is fully overwritten by the caller's copy.
-    slot.storage = arena::acquire(size);
-    if (zero) {
-      slot.storage.resize(size);  // zero-fills from empty
-    } else {
-      slot.storage.resize_for_overwrite(size);
-    }
+    // Spare-cache miss: fall back to the process-wide arena before the heap.
+    storage = arena::acquire(size);
   }
-  const std::int64_t id = next_slot_++;
-  slots_.emplace(id, std::move(slot));
-  used_ += size;
-  return id;
+  // Stale contents either way; the caller defines every byte.
+  if (storage.size() < size) storage.resize_for_overwrite(size);
+  return storage;
+}
+
+void Segment::materialize_locked(Slot& slot) {
+  if (!slot.zero) return;
+  slot.storage = take_storage_locked(slot.size);
+  std::fill_n(slot.storage.begin(), slot.size, std::uint8_t{0});
+  slot.zero = false;
 }
 
 Result<std::int64_t> Segment::insert_locked(Bytes&& storage) {
@@ -229,7 +248,7 @@ Result<std::int64_t> Segment::insert_locked(Bytes&& storage) {
 
 void Segment::recycle_locked(Bytes storage) {
   const std::uint64_t bytes = storage.capacity();
-  if (bytes == 0 || spare_.size() >= kMaxSpareBuffers ||
+  if (!storage.is_heap() || spare_.size() >= kMaxSpareBuffers ||
       spare_bytes_ + bytes > kMaxSpareBytes) {
     // Doesn't fit the per-segment cache: offer it to the process-wide
     // arena (which enforces its own size bounds) instead of freeing.

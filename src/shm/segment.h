@@ -12,7 +12,12 @@
 // results and copy accounting are identical either way.
 //
 // The Device Manager side hands slots to the board's DMA engine directly
-// (PCIe cost charged by the board, no host copy).
+// (PCIe cost charged by the board, no host copy). A read slot whose board
+// range holds no data (a timing-only board, or a never-written buffer) is
+// marked zero instead of being filled: it keeps its size but no storage,
+// and the client's fetch writes the zeros straight into the application
+// buffer. Each shm transfer therefore makes one host pass over its bytes,
+// the client-side copy the paper models.
 #pragma once
 
 #include <cstdint>
@@ -55,22 +60,33 @@ class Segment {
   // Copies a slot's contents out into an application buffer (the single
   // modeled copy on the read path) and releases the slot. Use when the
   // destination is caller-owned memory (OpenCL blocking-read semantics).
+  // A zero slot zero-fills `out` instead; the charge and copy accounting are
+  // the same.
   Status fetch(std::int64_t slot, MutableByteSpan out, vt::Cursor& cursor);
 
   // Ownership-transfer variant of fetch: returns the slot's buffer itself
   // and releases the slot. Prefer this when the caller would otherwise
   // allocate a Bytes just to fetch into it — same modeled charge as fetch,
-  // no real memcpy.
+  // no real memcpy. A zero slot returns a zeroed pooled buffer.
   Result<Bytes> fetch_take(std::int64_t slot, vt::Cursor& cursor);
 
   // --- manager side ---------------------------------------------------------
 
   // Zero-copy view of a staged slot for board DMA. Valid until release().
-  Result<ByteSpan> view(std::int64_t slot) const;
+  // A zero slot is materialized (zero-filled) first.
+  Result<ByteSpan> view(std::int64_t slot);
 
-  // Allocates a zero-filled slot the board DMA will fill (read path).
+  // Allocates a slot for the board DMA to fill (read path). The storage is
+  // uninitialized: the caller must define every byte through
+  // writable_view() or mark the slot zero.
   Result<std::int64_t> allocate(std::uint64_t size);
+  // Writable view of a slot. A zero slot is materialized (zero-filled)
+  // first.
   Result<MutableByteSpan> writable_view(std::int64_t slot);
+  // Marks a slot as all zeros and returns its storage to the spare cache, so
+  // no host pass fills it; fetch/fetch_take/view produce the zeros. Copy
+  // accounting and the fetch charge are those of a filled slot.
+  Status mark_zero(std::int64_t slot);
 
   Status release(std::int64_t slot);
 
@@ -84,13 +100,20 @@ class Segment {
 
  private:
   // A slot's logical size may be smaller than its backing capacity when the
-  // buffer was recycled from a previously released slot.
+  // buffer was recycled from a previously released slot. A zero slot has no
+  // storage.
   struct Slot {
     Bytes storage;
     std::uint64_t size = 0;
+    bool zero = false;
   };
 
-  Result<std::int64_t> allocate_locked(std::uint64_t size, bool zero);
+  Result<std::int64_t> allocate_locked(std::uint64_t size);
+  // Uninitialized storage of at least `size` bytes: a spare buffer, else a
+  // pooled arena buffer.
+  Bytes take_storage_locked(std::uint64_t size);
+  // Gives a zero slot zero-filled storage; no-op for any other slot.
+  void materialize_locked(Slot& slot);
   // Moves from `storage` only on success.
   Result<std::int64_t> insert_locked(Bytes&& storage);
   void recycle_locked(Bytes storage);

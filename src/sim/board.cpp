@@ -174,17 +174,22 @@ Result<Board::Interval> Board::write(MemHandle handle, std::uint64_t offset,
 
 Result<Board::Interval> Board::read(MemHandle handle, std::uint64_t offset,
                                     MutableByteSpan out, vt::Time ready,
-                                    Owner owner) {
+                                    Owner owner, bool* zeros) {
   std::lock_guard lock(mutex_);
   if (config_.functional) {
-    if (Status s = memory_.read(handle, offset, out); !s.ok()) return s;
+    if (Status s = memory_.read(handle, offset, out, zeros); !s.ok()) return s;
   } else {
     auto size = memory_.allocation_size(handle);
     if (!size.ok()) return size.status();
     if (offset + out.size() > size.value()) {
       return InvalidArgument("device read out of bounds");
     }
-    std::fill(out.begin(), out.end(), std::uint8_t{0});
+    // Timing-only mode holds no contents: the range reads as zeros.
+    if (zeros != nullptr) {
+      *zeros = true;
+    } else {
+      std::fill(out.begin(), out.end(), std::uint8_t{0});
+    }
   }
   return record_busy_locked(
       schedule_locked(ready, config_.host.pcie.transfer_time(out.size())),

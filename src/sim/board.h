@@ -92,9 +92,16 @@ class Board {
   // occupancy interval starting no earlier than `ready`, owned by `owner`.
   Result<Interval> write(MemHandle handle, std::uint64_t offset, ByteSpan data,
                          vt::Time ready, Owner owner = 0);
-  // Board -> host transfer.
+  // Board -> host transfer. With `zeros` null, `out` is fully defined on
+  // success: the buffer's data, or zeros where it holds none. A caller that
+  // can represent "all zeros" without writing them passes `zeros`: when the
+  // range holds no data (a timing-only board, or a functional allocation
+  // never written or borrowed) the board sets `*zeros` and leaves `out`
+  // untouched; otherwise it clears `*zeros` and copies the data. Either way
+  // the modeled interval and the busy-log entry are the same.
   Result<Interval> read(MemHandle handle, std::uint64_t offset,
-                        MutableByteSpan out, vt::Time ready, Owner owner = 0);
+                        MutableByteSpan out, vt::Time ready, Owner owner = 0,
+                        bool* zeros = nullptr);
 
   // --- Kernel execution -----------------------------------------------------
 

@@ -75,7 +75,7 @@ Status DeviceMemory::write(MemHandle handle, std::uint64_t offset,
 }
 
 Status DeviceMemory::read(MemHandle handle, std::uint64_t offset,
-                          MutableByteSpan out) const {
+                          MutableByteSpan out, bool* zeros) const {
   auto it = allocations_.find(handle.id);
   if (it == allocations_.end()) {
     return NotFound("unknown device allocation " + std::to_string(handle.id));
@@ -87,13 +87,15 @@ Status DeviceMemory::read(MemHandle handle, std::uint64_t offset,
                            std::to_string(out.size()) + " > " +
                            std::to_string(alloc.size));
   }
-  // Unmaterialized (never-written) memory reads as zeroes.
-  std::fill(out.begin(), out.end(), std::uint8_t{0});
-  if (alloc.data.empty()) return Status::Ok();
-  const std::uint64_t available =
-      alloc.data.size() > offset ? alloc.data.size() - offset : 0;
-  const std::uint64_t n = std::min<std::uint64_t>(available, out.size());
-  std::copy_n(alloc.data.begin() + offset, n, out.begin());
+  const bool unmaterialized = alloc.data.empty();
+  if (zeros != nullptr) *zeros = unmaterialized;
+  if (unmaterialized) {
+    // Never-written memory reads as zeroes.
+    if (zeros == nullptr) std::fill(out.begin(), out.end(), std::uint8_t{0});
+    return Status::Ok();
+  }
+  BF_CHECK(alloc.data.size() == alloc.size);  // materialized all at once
+  std::copy_n(alloc.data.begin() + offset, out.size(), out.begin());
   return Status::Ok();
 }
 

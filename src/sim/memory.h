@@ -35,9 +35,15 @@ class DeviceMemory {
 
   // Data access. Offsets are relative to the allocation base. Reads of
   // never-written regions return zeroes (DDR content is modeled as zeroed).
+  // An allocation is materialized all at once (write and borrow_mut size it
+  // to the full allocation), so a read either copies real data or sees an
+  // allocation that holds none. In the latter case a non-null `zeros` is
+  // set and `out` is left untouched, so the caller can skip the zero-fill;
+  // with `zeros` null, `out` is zero-filled. On success `out` holds the
+  // data or `*zeros` is true.
   Status write(MemHandle handle, std::uint64_t offset, ByteSpan data);
-  Status read(MemHandle handle, std::uint64_t offset,
-              MutableByteSpan out) const;
+  Status read(MemHandle handle, std::uint64_t offset, MutableByteSpan out,
+              bool* zeros = nullptr) const;
 
   // Zero-copy access to the backing store, used by the functional kernels
   // to compute in place. Both overloads materialize the allocation's host

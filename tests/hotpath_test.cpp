@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <memory>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/bytes.h"
@@ -198,6 +199,40 @@ TEST(HotPathDiscipline, SegmentReadSlotLoopReusesSpares) {
     ASSERT_TRUE(segment.fetch(slot.value(), MutableByteSpan{out}, cursor).ok());
   }
   EXPECT_EQ(Bytes::heap_alloc_count() - allocs_before, 0u);
+}
+
+// The arena counts only requests its pool can serve: inline-sized and
+// oversized acquires and recycles move no counter, so the hit ratio reads
+// the pool's real effectiveness.
+TEST(HotPathDiscipline, ArenaCountsOnlyPooledSizes) {
+  const arena::Stats before = arena::stats();
+  {
+    Bytes empty = arena::acquire(0);
+    Bytes inline_sized = arena::acquire(16);
+    arena::recycle(std::move(empty));
+    arena::recycle(std::move(inline_sized));
+  }
+  const arena::Stats inline_only = arena::stats();
+  EXPECT_EQ(inline_only.hits, before.hits);
+  EXPECT_EQ(inline_only.misses, before.misses);
+  EXPECT_EQ(inline_only.recycled, before.recycled);
+  EXPECT_EQ(inline_only.dropped, before.dropped);
+
+  // A size class no other test in this binary uses, drained first so the
+  // first acquire below is a miss.
+  constexpr std::size_t kSize = 4096;
+  std::vector<Bytes> drained;
+  for (std::size_t i = 0; i < arena::detail::kBuffersPerClass; ++i) {
+    drained.push_back(arena::acquire(kSize));
+  }
+  const arena::Stats start = arena::stats();
+  Bytes first = arena::acquire(kSize);
+  arena::recycle(std::move(first));
+  Bytes second = arena::acquire(kSize);
+  const arena::Stats end = arena::stats();
+  EXPECT_EQ(end.misses - start.misses, 1u);
+  EXPECT_EQ(end.hits - start.hits, 1u);
+  EXPECT_GE(second.capacity(), kSize);
 }
 
 }  // namespace

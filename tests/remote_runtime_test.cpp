@@ -3,7 +3,9 @@
 // transparency property (the same host code as the native tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -19,12 +21,13 @@ namespace bf {
 namespace {
 
 struct Rig {
-  explicit Rig(bool with_shm) {
+  explicit Rig(bool with_shm, bool functional = true) {
     sim::BoardConfig bc;
     bc.id = "fpga-b";
     bc.node = "B";
     bc.host = sim::make_node_b();
     bc.memory_bytes = 512 * kMiB;
+    bc.functional = functional;
     board = std::make_unique<sim::Board>(bc);
 
     devmgr::DeviceManagerConfig mc;
@@ -95,6 +98,96 @@ std::vector<float> run_vadd(ocl::Runtime& runtime, ocl::Session& session,
                                  true)
                   .ok());
   return c;
+}
+
+// One vadd request whose two read-backs (an input and the result) land in
+// 0xAB-poisoned application buffers, so a read that skips bytes shows.
+struct PoisonedReads {
+  std::vector<float> written;   // read-back of input `a`
+  std::vector<float> computed;  // read-back of result `c`
+};
+
+PoisonedReads vadd_into_poisoned(Rig& rig, std::size_t n) {
+  PoisonedReads reads;
+  ocl::Session session("fn-poison");
+  auto context = rig.runtime->create_context("fpga-b", session);
+  EXPECT_TRUE(context.ok()) << context.status().to_string();
+  if (!context.ok()) return reads;
+  EXPECT_TRUE(context.value()->program(sim::BitstreamLibrary::kVadd).ok());
+  std::vector<float> a(n);
+  std::vector<float> b(n);
+  std::iota(a.begin(), a.end(), 0.0F);
+  std::iota(b.begin(), b.end(), 1000.0F);
+  const std::size_t bytes = n * sizeof(float);
+  auto ba = context.value()->create_buffer(bytes);
+  auto bb = context.value()->create_buffer(bytes);
+  auto bc = context.value()->create_buffer(bytes);
+  EXPECT_TRUE(ba.ok() && bb.ok() && bc.ok());
+  auto queue = context.value()->create_queue();
+  EXPECT_TRUE(queue.ok());
+  EXPECT_TRUE(queue.value()
+                  ->enqueue_write(ba.value(), 0, as_bytes(a.data(), bytes),
+                                  false)
+                  .ok());
+  EXPECT_TRUE(queue.value()
+                  ->enqueue_write(bb.value(), 0, as_bytes(b.data(), bytes),
+                                  false)
+                  .ok());
+  auto kernel = context.value()->create_kernel("vadd");
+  EXPECT_TRUE(kernel.ok());
+  kernel.value().set_arg(0, ba.value());
+  kernel.value().set_arg(1, bb.value());
+  kernel.value().set_arg(2, bc.value());
+  kernel.value().set_arg(3, static_cast<std::int64_t>(n));
+  EXPECT_TRUE(queue.value()->enqueue_kernel(kernel.value(), {n, 1, 1}).ok());
+  reads.written.resize(n);
+  reads.computed.resize(n);
+  std::memset(reads.written.data(), 0xAB, bytes);
+  std::memset(reads.computed.data(), 0xAB, bytes);
+  EXPECT_TRUE(queue.value()
+                  ->enqueue_read(ba.value(), 0,
+                                 as_writable_bytes(reads.written.data(), bytes),
+                                 false)
+                  .ok());
+  EXPECT_TRUE(queue.value()
+                  ->enqueue_read(bc.value(), 0,
+                                 as_writable_bytes(reads.computed.data(), bytes),
+                                 false)
+                  .ok());
+  EXPECT_TRUE(queue.value()->finish().ok());
+  return reads;
+}
+
+bool all_zero_bytes(const std::vector<float>& values) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
+  return std::all_of(bytes, bytes + values.size() * sizeof(float),
+                     [](std::uint8_t byte) { return byte == 0; });
+}
+
+// A timing-only board holds no data, so every read returns zeros over
+// either data plane, however the application buffer started out.
+TEST(RemoteRuntime, TimingOnlyReadsReturnZerosOverEitherDataPlane) {
+  for (const bool with_shm : {true, false}) {
+    SCOPED_TRACE(with_shm ? "shm" : "grpc");
+    Rig rig(with_shm, /*functional=*/false);
+    const PoisonedReads reads = vadd_into_poisoned(rig, 64 * 1024);
+    ASSERT_EQ(reads.computed.size(), 64u * 1024);
+    EXPECT_TRUE(all_zero_bytes(reads.written));
+    EXPECT_TRUE(all_zero_bytes(reads.computed));
+  }
+}
+
+TEST(RemoteRuntime, FunctionalReadsReturnDataOverEitherDataPlane) {
+  for (const bool with_shm : {true, false}) {
+    SCOPED_TRACE(with_shm ? "shm" : "grpc");
+    Rig rig(with_shm, /*functional=*/true);
+    const PoisonedReads reads = vadd_into_poisoned(rig, 64 * 1024);
+    ASSERT_EQ(reads.computed.size(), 64u * 1024);
+    for (std::size_t i = 0; i < reads.computed.size(); ++i) {
+      ASSERT_FLOAT_EQ(reads.written[i], static_cast<float>(i));
+      ASSERT_FLOAT_EQ(reads.computed[i], static_cast<float>(i) + (1000.0F + i));
+    }
+  }
 }
 
 TEST(RemoteRuntime, VaddOverGrpcDataPath) {

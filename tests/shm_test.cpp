@@ -1,6 +1,9 @@
 // bf::shm: segments (single-copy data plane) and the node namespace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "shm/namespace.h"
 #include "shm/segment.h"
 
@@ -76,6 +79,8 @@ TEST(Segment, ManagerSideAllocateAndWrite) {
   ASSERT_TRUE(slot.ok());
   auto view = segment.writable_view(slot.value());
   ASSERT_TRUE(view.ok());
+  // allocate() hands out uninitialized storage: define every byte.
+  std::fill(view.value().begin(), view.value().end(), std::uint8_t{0});
   view.value()[0] = 42;
   vt::Cursor cursor;
   Bytes out(4);
@@ -92,6 +97,129 @@ TEST(Segment, CountsCopies) {
   (void)segment.fetch(slot.value(), MutableByteSpan{out}, cursor);
   EXPECT_EQ(segment.copy_count(), 2u);  // one in, one out
   EXPECT_EQ(segment.total_bytes_copied(), 200u);
+}
+
+// A zero slot behaves like a slot filled with zeros: every way out yields
+// zeros, and the charge and copy accounting match a materialized slot.
+TEST(Segment, ZeroSlotFetchesZerosWithTheSameAccounting) {
+  constexpr std::size_t kSize = 64 * 1024;
+  Segment filled(copy_model(), 1 << 20);
+  Segment marked(copy_model(), 1 << 20);
+  vt::Cursor filled_cursor;
+  vt::Cursor marked_cursor;
+
+  auto a = filled.allocate(kSize);
+  ASSERT_TRUE(a.ok());
+  auto view = filled.writable_view(a.value());
+  ASSERT_TRUE(view.ok());
+  std::fill(view.value().begin(), view.value().end(), std::uint8_t{0});
+  auto b = marked.allocate(kSize);
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(marked.mark_zero(b.value()).ok());
+  EXPECT_EQ(marked.used(), kSize);  // still holds its capacity share
+
+  Bytes filled_out(kSize, 0xAB);
+  Bytes marked_out(kSize, 0xAB);
+  ASSERT_TRUE(
+      filled.fetch(a.value(), MutableByteSpan{filled_out}, filled_cursor).ok());
+  ASSERT_TRUE(
+      marked.fetch(b.value(), MutableByteSpan{marked_out}, marked_cursor).ok());
+  EXPECT_EQ(marked_out, Bytes(kSize, 0));
+  EXPECT_EQ(marked.copy_count(), filled.copy_count());
+  EXPECT_EQ(marked.total_bytes_copied(), filled.total_bytes_copied());
+  EXPECT_EQ(marked_cursor.now(), filled_cursor.now());
+  EXPECT_EQ(marked.used(), 0u);
+  EXPECT_EQ(marked.slot_count(), 0u);
+
+  // fetch_take: a zeroed buffer even when the spare cache holds stale data.
+  Bytes stale(kSize, 0xAB);
+  auto staged = marked.stage(std::move(stale), marked_cursor);
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(marked.release(staged.value()).ok());  // 0xAB buffer -> spares
+  auto c = marked.allocate(kSize);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(marked.mark_zero(c.value()).ok());
+  const std::uint64_t copies = marked.copy_count();
+  const vt::Time before = marked_cursor.now();
+  auto taken = marked.fetch_take(c.value(), marked_cursor);
+  ASSERT_TRUE(taken.ok());
+  EXPECT_EQ(taken.value(), Bytes(kSize, 0));
+  EXPECT_EQ(marked.copy_count(), copies + 1);
+  EXPECT_EQ(marked_cursor.now() - before,
+            copy_model().copy_time(kSize));
+}
+
+TEST(Segment, ZeroSlotViewsMaterializeZeros) {
+  Segment segment(copy_model(), 1 << 20);
+  Bytes stale(4096, 0xAB);
+  vt::Cursor cursor;
+  auto staged = segment.stage(std::move(stale), cursor);
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(segment.release(staged.value()).ok());  // stale spare
+
+  auto slot = segment.allocate(4096);
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(segment.mark_zero(slot.value()).ok());
+  auto view = segment.view(slot.value());
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(Bytes(view.value().begin(), view.value().end()), Bytes(4096, 0));
+
+  auto other = segment.allocate(4096);
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(segment.mark_zero(other.value()).ok());
+  auto writable = segment.writable_view(other.value());
+  ASSERT_TRUE(writable.ok());
+  EXPECT_EQ(Bytes(writable.value().begin(), writable.value().end()),
+            Bytes(4096, 0));
+  writable.value()[7] = 9;  // materialized: writes now stick
+  Bytes out(4096, 0xAB);
+  ASSERT_TRUE(segment.fetch(other.value(), MutableByteSpan{out}, cursor).ok());
+  EXPECT_EQ(out[7], 9);
+  EXPECT_EQ(out[0], 0);
+}
+
+TEST(Segment, MarkZeroUnknownSlotIsNotFound) {
+  Segment segment(copy_model(), 1 << 20);
+  EXPECT_EQ(segment.mark_zero(12345).code(), StatusCode::kNotFound);
+  auto slot = segment.allocate(16);
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(segment.release(slot.value()).ok());
+  EXPECT_EQ(segment.mark_zero(slot.value()).code(), StatusCode::kNotFound);
+}
+
+// The client stages and fetches while the manager allocates, marks and
+// releases slots of the same segment (run under TSan and ASan via the
+// parallel label).
+TEST(Segment, ClientAndManagerThreadsShareOneSegment) {
+  Segment segment(copy_model(), 8 << 20);
+  constexpr int kRounds = 2000;
+  std::thread manager([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      const std::uint64_t size = 1024 + 64 * static_cast<std::uint64_t>(i % 8);
+      auto slot = segment.allocate(size);
+      ASSERT_TRUE(slot.ok());
+      if (i % 2 == 0) {
+        ASSERT_TRUE(segment.mark_zero(slot.value()).ok());
+      } else {
+        auto view = segment.writable_view(slot.value());
+        ASSERT_TRUE(view.ok());
+        std::fill(view.value().begin(), view.value().end(), std::uint8_t{1});
+      }
+      ASSERT_TRUE(segment.release(slot.value()).ok());
+    }
+  });
+  vt::Cursor cursor;
+  Bytes data(2048, 0x5A);
+  Bytes out(2048);
+  for (int i = 0; i < kRounds; ++i) {
+    auto slot = segment.stage(ByteSpan{data}, cursor);
+    ASSERT_TRUE(slot.ok());
+    ASSERT_TRUE(segment.fetch(slot.value(), MutableByteSpan{out}, cursor).ok());
+    ASSERT_EQ(out, data);
+  }
+  manager.join();
+  EXPECT_EQ(segment.used(), 0u);
+  EXPECT_EQ(segment.slot_count(), 0u);
 }
 
 TEST(Segment, ZeroSizeSlotRejected) {

@@ -2,6 +2,8 @@
 // occupancy ledger, reconfiguration and the bitstream library.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/bitstream.h"
 #include "sim/board.h"
 
@@ -169,6 +171,90 @@ TEST(Board, TimingOnlyModeSkipsDataButChecksBounds) {
   Bytes big(2048);
   EXPECT_FALSE(
       board.write(buffer.value(), 0, ByteSpan{big}, board.busy_until()).ok());
+}
+
+// One board's read of a 4 KiB buffer into a 0xAB-poisoned span, after an
+// optional write, with or without the caller asking to be told about zeros.
+struct ReadOutcome {
+  Bytes out;
+  bool zeros = false;
+  Board::Interval interval;
+  std::vector<Board::Occupancy> log;
+};
+
+ReadOutcome read_once(bool functional, bool written, bool request_zeros) {
+  constexpr std::size_t kSize = 4096;
+  Board board(small_board(functional));
+  EXPECT_TRUE(board.configure(vadd_bitstream(), vt::Time::zero()).ok());
+  const Owner owner = board.owner("fn");
+  auto buffer = board.allocate(kSize);
+  EXPECT_TRUE(buffer.ok());
+  if (written) {
+    Bytes data(kSize);
+    for (std::size_t i = 0; i < kSize; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    }
+    EXPECT_TRUE(board
+                    .write(buffer.value(), 0, ByteSpan{data},
+                           board.busy_until(), owner)
+                    .ok());
+  }
+  ReadOutcome outcome;
+  outcome.out = Bytes(kSize, 0xAB);
+  outcome.zeros = !request_zeros;  // must be overwritten when requested
+  auto interval = board.read(buffer.value(), 0, MutableByteSpan{outcome.out},
+                             board.busy_until(), owner,
+                             request_zeros ? &outcome.zeros : nullptr);
+  EXPECT_TRUE(interval.ok());
+  if (interval.ok()) outcome.interval = interval.value();
+  outcome.log = board.busy_snapshot(vt::Time::zero(), vt::Time::seconds(60));
+  return outcome;
+}
+
+void expect_same_timeline(const ReadOutcome& a, const ReadOutcome& b) {
+  EXPECT_EQ(a.interval.start, b.interval.start);
+  EXPECT_EQ(a.interval.end, b.interval.end);
+  ASSERT_EQ(a.log.size(), b.log.size());
+  for (std::size_t i = 0; i < a.log.size(); ++i) {
+    EXPECT_EQ(a.log[i].client_id, b.log[i].client_id);
+    EXPECT_EQ(a.log[i].start, b.log[i].start);
+    EXPECT_EQ(a.log[i].end, b.log[i].end);
+  }
+}
+
+// A range with no data reports zeros and leaves `out` untouched when the
+// caller asks; otherwise it is zero-filled. Modeled time is the same.
+TEST(Board, ReadOfNoDataReportsZerosWithoutWritingThem) {
+  const Bytes poison(4096, 0xAB);
+  const Bytes zeros(4096, 0);
+  struct Case {
+    bool functional;
+    bool written;
+  };
+  // Timing-only boards hold no data even after a write.
+  for (const Case c : {Case{false, false}, Case{false, true},
+                       Case{true, false}}) {
+    SCOPED_TRACE(testing::Message() << "functional=" << c.functional
+                                    << " written=" << c.written);
+    const ReadOutcome reported = read_once(c.functional, c.written, true);
+    const ReadOutcome filled = read_once(c.functional, c.written, false);
+    EXPECT_TRUE(reported.zeros);
+    EXPECT_EQ(reported.out, poison);
+    EXPECT_EQ(filled.out, zeros);
+    expect_same_timeline(reported, filled);
+  }
+}
+
+TEST(Board, ReadOfWrittenFunctionalBufferCopiesData) {
+  const ReadOutcome reported = read_once(true, true, true);
+  const ReadOutcome plain = read_once(true, true, false);
+  EXPECT_FALSE(reported.zeros);
+  EXPECT_EQ(reported.out[0], 1);
+  EXPECT_EQ(reported.out[1], 8);
+  EXPECT_EQ(reported.out, plain.out);
+  expect_same_timeline(reported, plain);
+  // And the same timeline as a read of no data.
+  expect_same_timeline(reported, read_once(false, true, true));
 }
 
 TEST(Board, TransferTimeDependsOnHostPcie) {
