@@ -3,8 +3,12 @@
 # CMakePresets.json) and runs the fault-, parallel-, recovery-, trace-,
 # churn- and sched-labeled tests — the fault-injection matrix plus the
 # queue/gate/event/pump suites it leans on, the worker-pool /
-# parallel-kernel suites and the shm segment suite (a client thread stages
+# parallel-kernel suites, the shm segment suite (a client thread stages
 # and fetches while a manager thread allocates, marks zero and releases),
+# the hot-path suite (pooled events, decode scratch, recycled scheduler
+# nodes and task storage reused across the client, pump, dispatcher and
+# worker threads; its binary-local operator new counter runs on top of the
+# sanitizer's allocator),
 # the deadline/retry/health recovery suite, the
 # golden-trace / span-invariant suites (TraceBuilder collects spans from
 # app threads, devmgr workers and board completions concurrently), the

@@ -40,34 +40,63 @@ Result<T> decode(const net::Frame& frame) {
   return T::decode(reader);
 }
 
-// Free list for per-task op vectors: sealing hands the vector (and each op's
-// staged write payload) to the worker, which retires both back to the pools
-// after execution, so steady-state request streams reuse the same storage.
-arena::Pool<std::vector<Operation>>& op_vector_pool() {
-  static arena::Pool<std::vector<Operation>> pool;
+// Free lists for the per-task vectors (ops, kernel args, wait ids): sealing
+// hands them (and each op's staged write payload) to the worker, which
+// retires them back to the pools after execution, so steady-state request
+// streams reuse the same storage.
+template <typename T>
+arena::Pool<std::vector<T>>& vector_pool() {
+  static arena::Pool<std::vector<T>> pool;
   return pool;
 }
 
-// Routes a freshly decoded command-queue op into its building task,
-// reviving a pooled op vector on the task's first op. state_mutex_ held.
-void append_op(std::map<std::uint64_t, Task>& building, Operation op) {
-  Task& task = building[op.queue_id];
-  if (task.ops.capacity() == 0) task.ops = op_vector_pool().acquire();
-  task.ops.push_back(std::move(op));
+// Appends `values` to one of a building task's per-op vectors, reviving a
+// pooled vector on first use, and returns the op's range in it.
+template <typename T>
+Range append_range(std::vector<T>& storage, std::span<const T> values) {
+  if (values.empty()) return Range{};
+  if (storage.capacity() == 0) storage = vector_pool<T>().acquire();
+  const Range range{static_cast<std::uint32_t>(storage.size()),
+                    static_cast<std::uint32_t>(values.size())};
+  storage.insert(storage.end(), values.begin(), values.end());
+  return range;
 }
 
-// Returns an executed (or cancelled) task's per-request storage to the
-// pools. The ops vector keeps its capacity; staged write payloads keep
-// their heap blocks.
+template <typename T>
+void retire_vector(std::vector<T>& storage) {
+  if (storage.capacity() != 0) vector_pool<T>().recycle(std::move(storage));
+}
+
+// Returns an executed (or cancelled, or rejected) task's per-request
+// storage to the pools. The vectors keep their capacity; staged write
+// payloads keep their heap blocks.
 void retire_task_storage(Task& task) {
   for (Operation& op : task.ops) {
     if (op.inline_data.is_heap()) {
       arena::recycle(std::move(op.inline_data));
     }
   }
-  if (task.ops.capacity() != 0) {
-    op_vector_pool().recycle(std::move(task.ops));
-  }
+  retire_vector(task.ops);
+  retire_vector(task.args);
+  retire_vector(task.wait_ids);
+}
+
+// First size of a session's completion table, and how far past the highest
+// admitted op id a new one may land. A client's op ids are dense, so a
+// larger jump is a malformed request, not a reason to grow the table.
+constexpr std::size_t kInitialOpTable = 1024;
+constexpr std::uint64_t kMaxOpIdJump = 4096;
+
+vt::Time deadline_of(std::uint64_t deadline_ns) {
+  return deadline_ns != 0
+             ? vt::Time::nanos(static_cast<std::int64_t>(deadline_ns))
+             : vt::Time::infinite();
+}
+
+Status undecodable(proto::Method method, const Status& status) {
+  return InvalidArgument("undecodable " +
+                         std::string(proto::to_string(method)) +
+                         " request: " + status.message());
 }
 
 }  // namespace
@@ -183,6 +212,7 @@ std::string DeviceManager::segment_name(std::uint64_t session_id) const {
 void DeviceManager::serve_connection(
     const std::shared_ptr<net::Connection>& connection) {
   std::uint64_t session_id = 0;
+  CommandScratch scratch;
 
   while (auto frame = connection->next_request()) {
     // Session must be opened first.
@@ -265,7 +295,7 @@ void DeviceManager::serve_connection(
     }
 
     if (proto::is_command_queue_method(frame->method)) {
-      handle_command(session_id, *frame);
+      handle_command(*connection, session_id, *frame, scratch);
     } else {
       handle_sync(session_id, *frame);
     }
@@ -415,7 +445,8 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
     }
     case proto::Method::kCreateQueue: {
       proto::CreateQueueResp resp;
-      resp.queue_id = session.next_queue_id++;
+      session.building.emplace_back();
+      resp.queue_id = session.building.size();
       connection->reply(frame, encode(resp), at);
       return;
     }
@@ -446,123 +477,133 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
   }
 }
 
-void DeviceManager::handle_command(std::uint64_t session_id,
-                                   const net::Frame& frame) {
+void DeviceManager::handle_command(net::Connection& connection,
+                                   std::uint64_t session_id,
+                                   const net::Frame& frame,
+                                   CommandScratch& scratch) {
   const vt::Time at = frame.arrival_time + config_.op_handling;
-  std::lock_guard lock(state_mutex_);
-  auto session_it = sessions_.find(session_id);
-  if (session_it == sessions_.end()) return;
-  Session& session = session_it->second;
-  auto connection = session.connection;
-  auto ack_enqueued = [&](std::uint64_t op_id) {
-    proto::OpEnqueued ack;
-    ack.op_id = op_id;
-    if (Status sent = connection->notify(proto::Method::kOpEnqueued, op_id,
-                                         encode(ack), at);
-        !sent.ok()) {
-      // Client already gone: its events will be poisoned by the connection
-      // loss, not by this ack, so the drop is benign but worth a trace.
-      BF_LOG_WARN("devmgr") << config_.id << ": OpEnqueued for op " << op_id
-                            << " undeliverable: " << sent.to_string();
-    }
-  };
-
+  proto::Reader reader(ByteSpan{frame.payload});
   switch (frame.method) {
     case proto::Method::kEnqueueWrite: {
-      auto request = decode<proto::EnqueueWriteReq>(frame);
-      if (!request.ok()) return;
+      proto::EnqueueWriteReq& request = scratch.write;
+      if (Status s = proto::EnqueueWriteReq::decode(reader, request); !s.ok()) {
+        reject_op(connection, frame.correlation, undecodable(frame.method, s),
+                  at);
+        return;
+      }
       Operation op;
       op.kind = Operation::Kind::kWrite;
-      op.op_id = request.value().op_id;
-      op.queue_id = request.value().queue_id;
-      op.buffer_id = request.value().buffer_id;
-      op.offset = request.value().offset;
-      op.size = request.value().size;
-      op.wait_op_ids = std::move(request.value().wait_op_ids);
-      op.trace = trace::SpanContext{request.value().trace_id,
-                                    request.value().parent_span};
-      append_op(session.building, std::move(op));
-      ack_enqueued(request.value().op_id);
+      op.op_id = request.op_id;
+      op.queue_id = request.queue_id;
+      op.buffer_id = request.buffer_id;
+      op.offset = request.offset;
+      op.size = request.size;
+      op.trace = trace::SpanContext{request.trace_id, request.parent_span};
+      enqueue_op(connection, session_id, std::move(op), request.wait_op_ids,
+                 {}, at, vt::Time::infinite());
       return;
     }
     case proto::Method::kWriteData: {
-      auto request = decode<proto::WriteData>(frame);
-      if (!request.ok()) return;
+      proto::WriteData& request = scratch.data;
+      if (Status s = proto::WriteData::decode(reader, request); !s.ok()) {
+        // The write op stays without data and fails when its task runs.
+        BF_LOG_WARN("devmgr") << config_.id << ": "
+                              << undecodable(frame.method, s).to_string();
+        return;
+      }
+      std::lock_guard lock(state_mutex_);
+      auto session_it = sessions_.find(session_id);
+      if (session_it == sessions_.end()) return;
       // Find the pending write op (BUFFER phase of its state machine).
-      for (auto& [queue_id, task] : session.building) {
+      for (Task& task : session_it->second.building) {
         for (Operation& op : task.ops) {
-          if (op.op_id == request.value().op_id &&
+          if (op.op_id == request.op_id &&
               op.kind == Operation::Kind::kWrite && !op.data_ready) {
-            op.shm_slot = request.value().shm_slot;
-            op.inline_data = std::move(request.value().data);
-            op.use_shm = request.value().shm_slot >= 0;
+            op.shm_slot = request.shm_slot;
+            op.inline_data = std::move(request.data);
+            op.use_shm = request.shm_slot >= 0;
             op.data_ready = true;
             return;
           }
         }
       }
+      // The op was rejected (or never enqueued) after the client staged its
+      // payload: free the slot, or its bytes count against the segment's
+      // capacity until the session ends.
+      if (request.shm_slot >= 0 && session_it->second.segment != nullptr) {
+        (void)session_it->second.segment->release(request.shm_slot);
+      }
       BF_LOG_WARN("devmgr") << config_.id << ": WriteData for unknown op "
-                            << request.value().op_id;
+                            << request.op_id;
       return;
     }
     case proto::Method::kEnqueueRead: {
-      auto request = decode<proto::EnqueueReadReq>(frame);
-      if (!request.ok()) return;
+      proto::EnqueueReadReq& request = scratch.read;
+      if (Status s = proto::EnqueueReadReq::decode(reader, request); !s.ok()) {
+        reject_op(connection, frame.correlation, undecodable(frame.method, s),
+                  at);
+        return;
+      }
       Operation op;
       op.kind = Operation::Kind::kRead;
-      op.op_id = request.value().op_id;
-      op.queue_id = request.value().queue_id;
-      op.buffer_id = request.value().buffer_id;
-      op.offset = request.value().offset;
-      op.size = request.value().size;
-      op.use_shm = request.value().use_shared_memory;
-      op.wait_op_ids = std::move(request.value().wait_op_ids);
-      op.trace = trace::SpanContext{request.value().trace_id,
-                                    request.value().parent_span};
-      append_op(session.building, std::move(op));
-      ack_enqueued(request.value().op_id);
+      op.op_id = request.op_id;
+      op.queue_id = request.queue_id;
+      op.buffer_id = request.buffer_id;
+      op.offset = request.offset;
+      op.size = request.size;
+      op.use_shm = request.use_shared_memory;
+      op.trace = trace::SpanContext{request.trace_id, request.parent_span};
+      enqueue_op(connection, session_id, std::move(op), request.wait_op_ids,
+                 {}, at, vt::Time::infinite());
       return;
     }
     case proto::Method::kEnqueueKernel: {
-      auto request = decode<proto::EnqueueKernelReq>(frame);
-      if (!request.ok()) return;
+      proto::EnqueueKernelReq& request = scratch.kernel;
+      if (Status s = proto::EnqueueKernelReq::decode(reader, request);
+          !s.ok()) {
+        reject_op(connection, frame.correlation, undecodable(frame.method, s),
+                  at);
+        return;
+      }
       Operation op;
       op.kind = Operation::Kind::kKernel;
-      op.op_id = request.value().op_id;
-      op.queue_id = request.value().queue_id;
-      op.kernel_id = request.value().kernel_id;
-      op.args = std::move(request.value().args);
-      op.global_size = request.value().global_size;
-      op.wait_op_ids = std::move(request.value().wait_op_ids);
-      op.trace = trace::SpanContext{request.value().trace_id,
-                                    request.value().parent_span};
-      append_op(session.building, std::move(op));
-      ack_enqueued(request.value().op_id);
+      op.op_id = request.op_id;
+      op.queue_id = request.queue_id;
+      op.kernel_id = request.kernel_id;
+      op.global_size = request.global_size;
+      op.trace = trace::SpanContext{request.trace_id, request.parent_span};
+      enqueue_op(connection, session_id, std::move(op), request.wait_op_ids,
+                 request.args, at, vt::Time::infinite());
       return;
     }
     case proto::Method::kFlush: {
-      auto request = decode<proto::FlushReq>(frame);
-      if (!request.ok()) return;
-      const vt::Time deadline = request.value().deadline_ns != 0
-                                    ? vt::Time::nanos(static_cast<std::int64_t>(
-                                          request.value().deadline_ns))
-                                    : vt::Time::infinite();
-      seal_task(session, request.value().queue_id, at, deadline);
+      proto::FlushReq& request = scratch.flush;
+      if (Status s = proto::FlushReq::decode(reader, request); !s.ok()) {
+        // No event waits on a flush: the ops stay queued for the next one.
+        BF_LOG_WARN("devmgr") << config_.id << ": "
+                              << undecodable(frame.method, s).to_string();
+        return;
+      }
+      std::lock_guard lock(state_mutex_);
+      auto session_it = sessions_.find(session_id);
+      if (session_it == sessions_.end()) return;
+      seal_task(session_it->second, request.queue_id, at,
+                deadline_of(request.deadline_ns));
       return;
     }
     case proto::Method::kFinish: {
-      auto request = decode<proto::FinishReq>(frame);
-      if (!request.ok()) return;
+      proto::FinishReq& request = scratch.finish;
+      if (Status s = proto::FinishReq::decode(reader, request); !s.ok()) {
+        reject_op(connection, frame.correlation, undecodable(frame.method, s),
+                  at);
+        return;
+      }
       Operation marker;
       marker.kind = Operation::Kind::kFinish;
-      marker.op_id = request.value().op_id;
-      marker.queue_id = request.value().queue_id;
-      append_op(session.building, std::move(marker));
-      const vt::Time deadline = request.value().deadline_ns != 0
-                                    ? vt::Time::nanos(static_cast<std::int64_t>(
-                                          request.value().deadline_ns))
-                                    : vt::Time::infinite();
-      seal_task(session, request.value().queue_id, at, deadline);
+      marker.op_id = request.op_id;
+      marker.queue_id = request.queue_id;
+      enqueue_op(connection, session_id, std::move(marker), {}, {}, at,
+                 deadline_of(request.deadline_ns));
       return;
     }
     default:
@@ -570,13 +611,84 @@ void DeviceManager::handle_command(std::uint64_t session_id,
   }
 }
 
+void DeviceManager::enqueue_op(net::Connection& connection,
+                               std::uint64_t session_id, Operation op,
+                               std::span<const std::uint64_t> waits,
+                               std::span<const proto::KernelArgMsg> args,
+                               vt::Time at, vt::Time deadline) {
+  const std::uint64_t op_id = op.op_id;
+  const std::uint64_t queue_id = op.queue_id;
+  const bool finish = op.kind == Operation::Kind::kFinish;
+  std::lock_guard lock(state_mutex_);
+  auto session_it = sessions_.find(session_id);
+  if (session_it == sessions_.end()) return;
+  Session& session = session_it->second;
+  if (queue_id == 0 || queue_id > session.building.size()) {
+    reject_op(connection, op_id,
+              InvalidArgument("unknown command queue " +
+                              std::to_string(queue_id)),
+              at);
+    return;
+  }
+  if (op_id > session.max_op_id + kMaxOpIdJump) {
+    reject_op(connection, op_id,
+              InvalidArgument("op id " + std::to_string(op_id) +
+                              " is too far past the session's highest, " +
+                              std::to_string(session.max_op_id)),
+              at);
+    return;
+  }
+  std::vector<vt::Time>& stamps = session.completed_ops;
+  if (op_id >= stamps.size()) {
+    stamps.resize(std::max<std::size_t>({op_id + 1, 2 * stamps.size(),
+                                         kInitialOpTable}),
+                  vt::Time::infinite());
+  }
+  session.max_op_id = std::max(session.max_op_id, op_id);
+  Task& task = session.building[queue_id - 1];
+  if (task.ops.capacity() == 0) task.ops = vector_pool<Operation>().acquire();
+  op.waits = append_range(task.wait_ids, waits);
+  op.args = append_range(task.args, args);
+  task.ops.push_back(std::move(op));
+  if (finish) {
+    seal_task(session, queue_id, at, deadline);
+    return;
+  }
+  proto::OpEnqueued ack;
+  ack.op_id = op_id;
+  if (Status sent = connection.notify(proto::Method::kOpEnqueued, op_id,
+                                      encode(ack), at);
+      !sent.ok()) {
+    // Client already gone: its events will be poisoned by the connection
+    // loss, not by this ack, so the drop is benign but worth a trace.
+    BF_LOG_WARN("devmgr") << config_.id << ": OpEnqueued for op " << op_id
+                          << " undeliverable: " << sent.to_string();
+  }
+}
+
+void DeviceManager::reject_op(net::Connection& connection,
+                              std::uint64_t op_id, const Status& status,
+                              vt::Time at) {
+  if (connection.closed()) return;  // connection loss fails the event
+  proto::OpComplete completion;
+  completion.op_id = op_id;
+  completion.status = proto::StatusMsg::from(status);
+  if (Status sent = connection.notify(proto::Method::kOpComplete, op_id,
+                                      encode(completion), at);
+      !sent.ok()) {
+    BF_LOG_WARN("devmgr") << config_.id << ": rejection notice for op "
+                          << op_id << " undeliverable: " << sent.to_string();
+  }
+}
+
 // Called with state_mutex_ held.
 void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
                               vt::Time ready, vt::Time deadline) {
-  auto it = session.building.find(queue_id);
-  if (it == session.building.end() || it->second.empty()) return;
-  Task task = std::move(it->second);
-  session.building.erase(it);
+  if (queue_id == 0 || queue_id > session.building.size()) return;
+  Task& building = session.building[queue_id - 1];
+  if (building.empty()) return;
+  Task task = std::move(building);
+  building = Task{};
   task.session_id = session.id;
   task.client_id = session.client_id;
   task.owner = session.owner;
@@ -588,46 +700,33 @@ void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
   // kernel launch (plus its transfers) moving a small number of bytes. The
   // kernel id resolves to a name here, where the session map is at hand.
   std::size_t kernel_ops = 0;
-  bool dependency_free = true;
   std::uint64_t transfer_bytes = 0;
-  std::string kernel_name;
+  const std::string* kernel_name = nullptr;
   for (const Operation& op : task.ops) {
-    if (!op.wait_op_ids.empty()) dependency_free = false;
     if (op.kind == Operation::Kind::kKernel) {
       ++kernel_ops;
       auto kernel_it = session.kernels.find(op.kernel_id);
-      if (kernel_it != session.kernels.end()) kernel_name = kernel_it->second;
+      if (kernel_it != session.kernels.end()) kernel_name = &kernel_it->second;
     } else if (op.kind == Operation::Kind::kWrite ||
                op.kind == Operation::Kind::kRead) {
       transfer_bytes += op.size;
     }
   }
-  if (kernel_ops == 1 && dependency_free && !kernel_name.empty() &&
+  if (kernel_ops == 1 && task.wait_ids.empty() && kernel_name != nullptr &&
+      !kernel_name->empty() &&
       transfer_bytes <= config_.scheduler.batch_small_bytes) {
     task.batchable = true;
-    task.batch_key = kernel_name;
+    task.batch_key = *kernel_name;
   }
-  std::vector<std::uint64_t> op_ids;
-  op_ids.reserve(task.ops.size());
-  for (const Operation& op : task.ops) op_ids.push_back(op.op_id);
   if (Status pushed = scheduler_->push(std::move(task)); !pushed.ok()) {
-    // Shutdown race: the central queue already closed. Fail every op's
-    // event with the rejection status so no client event is left hanging
-    // in FIRST/BUFFER (push-after-close must reject, never silently queue).
-    for (const std::uint64_t op_id : op_ids) {
-      proto::OpComplete completion;
-      completion.op_id = op_id;
-      completion.status = proto::StatusMsg::from(pushed);
-      if (session.connection != nullptr && !session.connection->closed()) {
-        if (Status sent = session.connection->notify(
-                proto::Method::kOpComplete, op_id, encode(completion), ready);
-            !sent.ok()) {
-          BF_LOG_WARN("devmgr")
-              << config_.id << ": rejection notice for op " << op_id
-              << " undeliverable: " << sent.to_string();
-        }
-      }
+    // Shutdown race: the central queue already closed and left the task
+    // with us. Fail every op's event with the rejection status so no client
+    // event is left hanging in FIRST/BUFFER (push-after-close must reject,
+    // never silently queue).
+    for (const Operation& op : task.ops) {  // NOLINT(bugprone-use-after-move)
+      reject_op(*session.connection, op.op_id, pushed, ready);
     }
+    retire_task_storage(task);
   }
 }
 
@@ -763,11 +862,16 @@ void DeviceManager::execute_tasks(const Task& lead,
         continue;
       }
       live_.push_back(i);
-      launches_.push_back(std::move(inputs.launch));
+      // Lent to the pass and handed back below, so each run keeps its
+      // launch's args capacity.
+      launches_.push_back(std::move(run.launch));
       pass_ready = vt::max(pass_ready, inputs.ready);
     }
     if (!live_.empty()) {
       auto intervals = board_->run_kernel_batch(launches_, pass_ready);
+      for (std::size_t j = 0; j < live_.size(); ++j) {
+        runs_[live_[j]].launch = std::move(launches_[j]);
+      }
       for (std::size_t j = 0; j < live_.size(); ++j) {
         TaskRun& run = runs_[live_[j]];
         const Operation& op = run.task->ops[run.kernel_index];
@@ -807,7 +911,8 @@ void DeviceManager::run_op(TaskRun& run, const Operation& op) {
     record_op(run, op, ready, completion);
     return;
   }
-  record_op(run, op, execute_operation(op, inputs, completion), completion);
+  record_op(run, op, execute_operation(run, op, inputs, completion),
+            completion);
 }
 
 Status DeviceManager::prepare_op(TaskRun& run, const Operation& op,
@@ -832,13 +937,13 @@ Status DeviceManager::prepare_op(TaskRun& run, const Operation& op,
   // Event wait list: delay the op's readiness to its dependencies'
   // completions. A dependency whose command was never flushed is a
   // client-side ordering error (OpenCL would deadlock; we fail fast).
-  for (std::uint64_t wait_id : op.wait_op_ids) {
-    auto done = session.completed_ops.find(wait_id);
-    if (done == session.completed_ops.end()) {
+  const std::vector<vt::Time>& stamps = session.completed_ops;
+  for (std::uint64_t wait_id : run.task->waits_of(op)) {
+    if (wait_id >= stamps.size() || stamps[wait_id].is_infinite()) {
       return FailedPrecondition("wait-list op " + std::to_string(wait_id) +
                                 " has not completed (flush its queue first)");
     }
-    inputs.ready = vt::max(inputs.ready, done->second);
+    inputs.ready = vt::max(inputs.ready, stamps[wait_id]);
   }
   switch (op.kind) {
     case Operation::Kind::kWrite:
@@ -860,13 +965,15 @@ Status DeviceManager::prepare_op(TaskRun& run, const Operation& op,
   if (kernel_it == session.kernels.end()) {
     return NotFound("unknown kernel " + std::to_string(op.kernel_id));
   }
-  sim::KernelLaunch& launch = inputs.launch;
+  sim::KernelLaunch& launch = run.launch;
   launch.kernel = kernel_it->second;
   launch.global_size = op.global_size;
   launch.owner = inputs.owner;
-  launch.args.reserve(op.args.size());
-  for (std::size_t i = 0; i < op.args.size(); ++i) {
-    const proto::KernelArgMsg& arg = op.args[i];
+  launch.trace = trace::SpanContext{};
+  launch.args.clear();
+  const std::span<const proto::KernelArgMsg> args = run.task->args_of(op);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const proto::KernelArgMsg& arg = args[i];
     switch (arg.kind) {
       case proto::KernelArgMsg::Kind::kBuffer: {
         auto buffer_it = session.buffers.find(arg.buffer_id);
@@ -898,7 +1005,7 @@ Status DeviceManager::prepare_op(TaskRun& run, const Operation& op,
 }
 
 Result<sim::Board::Interval> DeviceManager::execute_operation(
-    const Operation& op, const OpInputs& inputs,
+    const TaskRun& run, const Operation& op, const OpInputs& inputs,
     proto::OpComplete& completion) {
   const vt::Time ready = inputs.ready;
   switch (op.kind) {
@@ -957,7 +1064,7 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
       return interval;
     }
     case Operation::Kind::kKernel:
-      return board_->run_kernel(inputs.launch, ready);
+      return board_->run_kernel(run.launch, ready);
     case Operation::Kind::kFinish:
       return sim::Board::Interval{ready, ready};
   }
@@ -976,7 +1083,8 @@ void DeviceManager::record_op(TaskRun& run, const Operation& op,
     std::lock_guard lock(state_mutex_);
     auto session_it = sessions_.find(run.task->session_id);
     if (session_it != sessions_.end()) {
-      session_it->second.completed_ops[op.op_id] = occupied.end;
+      std::vector<vt::Time>& stamps = session_it->second.completed_ops;
+      if (op.op_id < stamps.size()) stamps[op.op_id] = occupied.end;
     }
   } else {
     completion.status = proto::StatusMsg::from(interval.status());
@@ -1107,6 +1215,7 @@ void DeviceManager::cleanup_session(std::uint64_t session_id) {
       (void)board_->release(handle);
     }
     segment = it->second.segment;
+    for (Task& task : it->second.building) retire_task_storage(task);
     sessions_.erase(it);
     sessions_gauge_->set(static_cast<double>(sessions_.size()));
   }

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,11 +129,25 @@ class DeviceManager {
     std::map<std::uint64_t, std::string> kernels;  // id -> kernel name
     std::uint64_t next_buffer_id = 1;
     std::uint64_t next_kernel_id = 1;
-    std::uint64_t next_queue_id = 1;
-    // Tasks under construction, one per command queue.
-    std::map<std::uint64_t, Task> building;
-    // Completion stamps of executed ops (event wait-list resolution).
-    std::map<std::uint64_t, vt::Time> completed_ops;
+    // Tasks under construction, one per command queue, at index queue id
+    // - 1: queue ids are dense from 1 (kCreateQueue appends a slot).
+    std::vector<Task> building;
+    // Completion stamps of executed ops (event wait-list resolution),
+    // indexed by op id; infinite until the op completes. Op ids are
+    // per-session and dense, so this is 8 B per op. Unbounded for now.
+    std::vector<vt::Time> completed_ops;
+    std::uint64_t max_op_id = 0;  // highest op id admitted
+  };
+
+  // One reused decode target per command method, owned by a connection's
+  // dispatcher (proto::decode-into-scratch contract).
+  struct CommandScratch {
+    proto::EnqueueWriteReq write;
+    proto::WriteData data;
+    proto::EnqueueReadReq read;
+    proto::EnqueueKernelReq kernel;
+    proto::FlushReq flush;
+    proto::FinishReq finish;
   };
 
   void serve_connection(const std::shared_ptr<net::Connection>& connection);
@@ -140,7 +155,20 @@ class DeviceManager {
 
   // Dispatcher-side handlers; they lock state_mutex_ internally.
   void handle_sync(std::uint64_t session_id, const net::Frame& frame);
-  void handle_command(std::uint64_t session_id, const net::Frame& frame);
+  void handle_command(net::Connection& connection, std::uint64_t session_id,
+                      const net::Frame& frame, CommandScratch& scratch);
+  // Appends a decoded op, its wait list and kernel args to its queue's
+  // building task and acks it, or fails the op when its queue or op id is
+  // out of range. A finish marker is not acked: it seals its task with
+  // `deadline`.
+  void enqueue_op(net::Connection& connection, std::uint64_t session_id,
+                  Operation op, std::span<const std::uint64_t> waits,
+                  std::span<const proto::KernelArgMsg> args, vt::Time at,
+                  vt::Time deadline);
+  // Completes an op the manager will not run with `status`, so the client's
+  // event does not wait forever.
+  void reject_op(net::Connection& connection, std::uint64_t op_id,
+                 const Status& status, vt::Time at);
   // Requires state_mutex_ held.
   void seal_task(Session& session, std::uint64_t queue_id, vt::Time ready,
                  vt::Time deadline);
@@ -165,6 +193,8 @@ class DeviceManager {
     // Encoded completions, delivered by flush_completions in one wake.
     std::vector<net::Completion> staged;
     std::vector<ExecutedOp> executed;  // successful ops (traced runs only)
+    // The kernel op's launch, rebuilt in place by prepare_op.
+    sim::KernelLaunch launch;
   };
   // What one op reads from its session, snapshotted under state_mutex_.
   struct OpInputs {
@@ -172,7 +202,6 @@ class DeviceManager {
     sim::Owner owner = 0;
     sim::MemHandle buffer;
     std::shared_ptr<shm::Segment> segment;
-    sim::KernelLaunch launch;
   };
 
   void execute_program(const Task& task);
@@ -184,12 +213,12 @@ class DeviceManager {
   void run_op(TaskRun& run, const Operation& op);
   // The abort-fault check, then the op's one state_mutex_ acquisition
   // before it runs: session, wait-list stamps, buffer/segment, kernel
-  // launch, and on the first op the connection. A non-OK status fails the
-  // op.
+  // launch (into run.launch), and on the first op the connection. A non-OK
+  // status fails the op.
   Status prepare_op(TaskRun& run, const Operation& op, OpInputs& inputs);
   // Returns the op's exclusive board occupancy interval.
   Result<sim::Board::Interval> execute_operation(
-      const Operation& op, const OpInputs& inputs,
+      const TaskRun& run, const Operation& op, const OpInputs& inputs,
       proto::OpComplete& completion);
   // The op's one state_mutex_ acquisition after it ran (successful ops
   // only): completed_ops. Then stages its completion

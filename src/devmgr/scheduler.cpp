@@ -61,8 +61,15 @@ struct ByDeadline {
 // (plus batch companions) is taken.
 template <typename Compare>
 class QueueBase : public Scheduler {
+ protected:
+  using Set = std::multiset<Entry, Compare>;
+  using Node = typename Set::node_type;
+  static constexpr std::size_t kMaxSpareNodes = 64;
+
  public:
-  Status push(Task task) override {
+  QueueBase() { spare_nodes_.reserve(kMaxSpareNodes); }
+
+  Status push(Task&& task) override {
     {
       std::lock_guard lock(mutex_);
       if (closed_) {
@@ -70,7 +77,15 @@ class QueueBase : public Scheduler {
       }
       Entry entry{std::move(task), 0.0};
       annotate_locked(entry);
-      entries_.insert(std::move(entry));
+      if (spare_nodes_.empty()) {
+        entries_.insert(std::move(entry));
+      } else {
+        // Reuse a popped entry's node: the steady state allocates none.
+        Node node = std::move(spare_nodes_.back());
+        spare_nodes_.pop_back();
+        node.value() = std::move(entry);
+        entries_.insert(std::move(node));
+      }
     }
     // Exactly one consumer (the manager's worker thread) ever blocks in
     // pop_next_safe, so one wake suffices; close() keeps notify_all for the
@@ -122,8 +137,9 @@ class QueueBase : public Scheduler {
     std::lock_guard lock(mutex_);
     for (auto it = entries_.begin(); it != entries_.end();) {
       if (it->task.session_id == session_id) {
-        auto node = entries_.extract(it++);
+        Node node = entries_.extract(it++);
         cancelled.push_back(std::move(node.value().task));
+        recycle_locked(std::move(node));
       } else {
         ++it;
       }
@@ -159,13 +175,21 @@ class QueueBase : public Scheduler {
   // Removes the policy head into `out`. Requires mutex_ held and a
   // non-empty queue.
   virtual void take_locked(PopResult& out) {
-    auto node = entries_.extract(entries_.begin());
+    Node node = entries_.extract(entries_.begin());
     taken_locked(node.value());
     out.task = std::move(node.value().task);
+    recycle_locked(std::move(node));
   }
 
   // Observation hook after the head is chosen (WFQ virtual-time advance).
   virtual void taken_locked(const Entry& entry) { (void)entry; }
+
+  // Keeps an extracted node (its task already moved out) for the next push.
+  void recycle_locked(Node&& node) {
+    if (spare_nodes_.size() >= kMaxSpareNodes) return;  // freed
+    node.value() = Entry{};
+    spare_nodes_.push_back(std::move(node));
+  }
 
   [[nodiscard]] vt::Time min_ready_locked() const {
     vt::Time min = vt::Time::infinite();
@@ -177,7 +201,8 @@ class QueueBase : public Scheduler {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::multiset<Entry, Compare> entries_;
+  Set entries_;
+  std::vector<Node> spare_nodes_;  // extracted nodes, reused by push
   bool closed_ = false;
 };
 
@@ -253,7 +278,7 @@ class BatchingScheduler final : public QueueBase<ByReady> {
 
  protected:
   void take_locked(PopResult& out) override {
-    auto lead = entries_.extract(entries_.begin());
+    Node lead = entries_.extract(entries_.begin());
     const Task& head = lead.value().task;
     if (head.batchable && config_.max_batch > 1) {
       // Scan in FIFO order for compatible companions. A client whose next
@@ -270,8 +295,9 @@ class BatchingScheduler final : public QueueBase<ByReady> {
         if (candidate.ready > horizon) break;  // FIFO order: no later match
         if (candidate.batchable && candidate.batch_key == head.batch_key &&
             blocked.count(candidate.client_id) == 0) {
-          auto node = entries_.extract(it++);
+          Node node = entries_.extract(it++);
           out.batch.push_back(std::move(node.value().task));
+          recycle_locked(std::move(node));
         } else {
           blocked.insert(candidate.client_id);
           ++it;
@@ -279,6 +305,7 @@ class BatchingScheduler final : public QueueBase<ByReady> {
       }
     }
     out.task = std::move(lead.value().task);
+    recycle_locked(std::move(lead));
   }
 
  private:

@@ -93,10 +93,12 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  // Enqueues a task. After close() every push is rejected deterministically
-  // with kUnavailable — the task is NOT silently queued or dropped, and the
-  // caller must fail the task's events so clients observe a terminal status.
-  [[nodiscard]] virtual Status push(Task task) = 0;
+  // Enqueues a task, moving from `task` only on success. After close()
+  // every push is rejected deterministically with kUnavailable and `task`
+  // is left intact — it is NOT silently queued or dropped, and the caller
+  // must fail the task's events (it still holds the ops) so clients observe
+  // a terminal status, then retire the task's storage.
+  [[nodiscard]] virtual Status push(Task&& task) = 0;
 
   // Blocks until the policy's next task is safe to execute (or the
   // scheduler/gate is shut down). Single-consumer.

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,13 @@
 #include "vt/time.h"
 
 namespace bf::devmgr {
+
+// A contiguous run of one op's entries in its task's per-op storage
+// (Task::args, Task::wait_ids).
+struct Range {
+  std::uint32_t begin = 0;
+  std::uint32_t count = 0;
+};
 
 struct Operation {
   enum class Kind { kWrite, kRead, kKernel, kFinish };
@@ -41,13 +49,14 @@ struct Operation {
   Bytes inline_data;           // staged write payload (gRPC path)
   bool data_ready = false;     // BUFFER phase arrived
 
-  // Kernel ops.
+  // Kernel ops. The args live in Task::args.
   std::uint64_t kernel_id = 0;
-  std::vector<proto::KernelArgMsg> args;
+  Range args;
   std::array<std::uint64_t, 3> global_size = {1, 1, 1};
 
-  // Event wait list: this op may not start before these ops completed.
-  std::vector<std::uint64_t> wait_op_ids;
+  // Event wait list in Task::wait_ids: this op may not start before these
+  // ops completed.
+  Range waits;
 
   // Request trace context propagated from the enqueueing client (invalid
   // when the request is untraced); the span id is the client's rpc span.
@@ -98,6 +107,10 @@ struct Task {
   // it — no task is dropped for missing a deadline.
   vt::Time deadline = vt::Time::infinite();
   std::vector<Operation> ops;
+  // Every op's kernel args and wait list, addressed by the op's ranges. The
+  // three vectors are pooled: they keep their capacity from task to task.
+  std::vector<proto::KernelArgMsg> args;
+  std::vector<std::uint64_t> wait_ids;
 
   // kBatching metadata, derived at seal time: a task is batchable iff it is
   // exactly one dependency-free kernel launch moving a small number of bytes;
@@ -112,6 +125,15 @@ struct Task {
   std::shared_ptr<ProgramWaiter> program_waiter;
 
   [[nodiscard]] bool empty() const { return ops.empty() && !is_program; }
+
+  [[nodiscard]] std::span<const proto::KernelArgMsg> args_of(
+      const Operation& op) const {
+    return std::span(args).subspan(op.args.begin, op.args.count);
+  }
+  [[nodiscard]] std::span<const std::uint64_t> waits_of(
+      const Operation& op) const {
+    return std::span(wait_ids).subspan(op.waits.begin, op.waits.count);
+  }
 };
 
 }  // namespace bf::devmgr

@@ -21,7 +21,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -222,7 +221,29 @@ class Connection : public std::enable_shared_from_this<Connection> {
   vt::Time client_bound_;
   WaitTag wait_tag_ = WaitTag::kNone;
   std::uint64_t wait_id_ = 0;
-  std::deque<vt::Time> inflight_arrivals_;
+  // Arrival stamps of sent frames the dispatcher has not popped yet, oldest
+  // first. A vector with a read index, reset when drained and compacted when
+  // mostly consumed: it keeps its capacity, where a std::deque allocates a
+  // chunk every few dozen frames.
+  struct ArrivalQueue {
+    std::vector<vt::Time> stamps;
+    std::size_t head = 0;
+
+    [[nodiscard]] bool empty() const { return head == stamps.size(); }
+    [[nodiscard]] vt::Time front() const { return stamps[head]; }
+    void push_back(vt::Time t) { stamps.push_back(t); }
+    void pop_front() {
+      if (++head == stamps.size()) {
+        stamps.clear();
+        head = 0;
+      } else if (head >= 64 && 2 * head >= stamps.size()) {
+        stamps.erase(stamps.begin(),
+                     stamps.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+    }
+  };
+  ArrivalQueue inflight_arrivals_;
   vt::Time processing_ = vt::Time::infinite();
   vt::Time last_arrival_;  // per-connection in-order delivery floor
   vt::Time last_send_;

@@ -53,6 +53,40 @@ Status take_zigzag(Reader& reader, std::int64_t& out) {
   return Status::Ok();
 }
 
+// A length-delimited submessage, decoded in place.
+template <typename T>
+Status take_message(Reader& reader, T& out) {
+  auto raw = reader.read_bytes_view();
+  if (!raw.ok()) return raw.status();
+  Reader sub(raw.value());
+  return T::decode(sub, out);
+}
+
+// One element of a repeated varint field (event wait lists).
+Status append_uint(Reader& reader, std::vector<std::uint64_t>& out) {
+  auto value = reader.read_varint();
+  if (!value.ok()) return value.status();
+  out.push_back(value.value());
+  return Status::Ok();
+}
+
+// Resets a decode target to the message defaults while its repeated fields
+// keep their capacity: the decode-into-scratch contract (messages.h).
+template <typename T>
+void reset_keeping_capacity(T& out) {
+  std::vector<std::uint64_t> waits = std::move(out.wait_op_ids);
+  waits.clear();
+  if constexpr (requires { out.args; }) {
+    std::vector<KernelArgMsg> args = std::move(out.args);
+    args.clear();
+    out = T{};
+    out.args = std::move(args);
+  } else {
+    out = T{};
+  }
+  out.wait_op_ids = std::move(waits);
+}
+
 }  // namespace
 
 std::string_view to_string(Method method) {
@@ -120,17 +154,15 @@ void StatusMsg::encode(Writer& writer) const {
   if (!message.empty()) writer.field_string(2, message);
 }
 
-Result<StatusMsg> StatusMsg::decode(Reader& reader) {
-  StatusMsg out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status StatusMsg::decode(Reader& reader, StatusMsg& out) {
+  out = StatusMsg{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.code);
       case 2: return take_string(reader, out.message);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 // --- DeviceDescriptor ----------------------------------------------------------
@@ -145,9 +177,9 @@ void DeviceDescriptor::encode(Writer& writer) const {
   writer.field_uint(7, global_memory_bytes);
 }
 
-Result<DeviceDescriptor> DeviceDescriptor::decode(Reader& reader) {
-  DeviceDescriptor out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status DeviceDescriptor::decode(Reader& reader, DeviceDescriptor& out) {
+  out = DeviceDescriptor{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_string(reader, out.id);
       case 2: return take_string(reader, out.name);
@@ -159,8 +191,6 @@ Result<DeviceDescriptor> DeviceDescriptor::decode(Reader& reader) {
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 // --- KernelArgMsg --------------------------------------------------------------
@@ -175,9 +205,9 @@ void KernelArgMsg::encode(Writer& writer) const {
   }
 }
 
-Result<KernelArgMsg> KernelArgMsg::decode(Reader& reader) {
-  KernelArgMsg out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status KernelArgMsg::decode(Reader& reader, KernelArgMsg& out) {
+  out = KernelArgMsg{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: {
         std::uint64_t raw = 0;
@@ -198,8 +228,6 @@ Result<KernelArgMsg> KernelArgMsg::decode(Reader& reader) {
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 // --- OpenSession -----------------------------------------------------------------
@@ -209,17 +237,15 @@ void OpenSessionReq::encode(Writer& writer) const {
   writer.field_bool(2, use_shared_memory);
 }
 
-Result<OpenSessionReq> OpenSessionReq::decode(Reader& reader) {
-  OpenSessionReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status OpenSessionReq::decode(Reader& reader, OpenSessionReq& out) {
+  out = OpenSessionReq{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_string(reader, out.client_id);
       case 2: return take_bool(reader, out.use_shared_memory);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void OpenSessionResp::encode(Writer& writer) const {
@@ -233,35 +259,17 @@ void OpenSessionResp::encode(Writer& writer) const {
   writer.field_bytes(4, ByteSpan{device_writer.bytes()});
 }
 
-Result<OpenSessionResp> OpenSessionResp::decode(Reader& reader) {
-  OpenSessionResp out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status OpenSessionResp::decode(Reader& reader, OpenSessionResp& out) {
+  out = OpenSessionResp{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
-      case 1: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 1: return take_message(reader, out.status);
       case 2: return take_uint(reader, out.session_id);
       case 3: return take_bool(reader, out.shared_memory_granted);
-      case 4: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = DeviceDescriptor::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.device = decoded.value();
-        return Status::Ok();
-      }
+      case 4: return take_message(reader, out.device);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 // --- Program ----------------------------------------------------------------------
@@ -270,16 +278,14 @@ void ProgramReq::encode(Writer& writer) const {
   writer.field_string(1, bitstream_id);
 }
 
-Result<ProgramReq> ProgramReq::decode(Reader& reader) {
-  ProgramReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status ProgramReq::decode(Reader& reader, ProgramReq& out) {
+  out = ProgramReq{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_string(reader, out.bitstream_id);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void ProgramResp::encode(Writer& writer) const {
@@ -289,25 +295,15 @@ void ProgramResp::encode(Writer& writer) const {
   writer.field_bool(2, reconfigured);
 }
 
-Result<ProgramResp> ProgramResp::decode(Reader& reader) {
-  ProgramResp out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status ProgramResp::decode(Reader& reader, ProgramResp& out) {
+  out = ProgramResp{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
-      case 1: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 1: return take_message(reader, out.status);
       case 2: return take_bool(reader, out.reconfigured);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 // --- Buffers / kernels / queues ---------------------------------------------------
@@ -316,16 +312,14 @@ void CreateBufferReq::encode(Writer& writer) const {
   writer.field_uint(1, size);
 }
 
-Result<CreateBufferReq> CreateBufferReq::decode(Reader& reader) {
-  CreateBufferReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status CreateBufferReq::decode(Reader& reader, CreateBufferReq& out) {
+  out = CreateBufferReq{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.size);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void CreateBufferResp::encode(Writer& writer) const {
@@ -335,57 +329,43 @@ void CreateBufferResp::encode(Writer& writer) const {
   writer.field_uint(2, buffer_id);
 }
 
-Result<CreateBufferResp> CreateBufferResp::decode(Reader& reader) {
-  CreateBufferResp out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status CreateBufferResp::decode(Reader& reader, CreateBufferResp& out) {
+  out = CreateBufferResp{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
-      case 1: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 1: return take_message(reader, out.status);
       case 2: return take_uint(reader, out.buffer_id);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void ReleaseBufferReq::encode(Writer& writer) const {
   writer.field_uint(1, buffer_id);
 }
 
-Result<ReleaseBufferReq> ReleaseBufferReq::decode(Reader& reader) {
-  ReleaseBufferReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status ReleaseBufferReq::decode(Reader& reader, ReleaseBufferReq& out) {
+  out = ReleaseBufferReq{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.buffer_id);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void CreateKernelReq::encode(Writer& writer) const {
   writer.field_string(1, name);
 }
 
-Result<CreateKernelReq> CreateKernelReq::decode(Reader& reader) {
-  CreateKernelReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status CreateKernelReq::decode(Reader& reader, CreateKernelReq& out) {
+  out = CreateKernelReq{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_string(reader, out.name);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void CreateKernelResp::encode(Writer& writer) const {
@@ -396,26 +376,16 @@ void CreateKernelResp::encode(Writer& writer) const {
   writer.field_uint(3, arity);
 }
 
-Result<CreateKernelResp> CreateKernelResp::decode(Reader& reader) {
-  CreateKernelResp out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status CreateKernelResp::decode(Reader& reader, CreateKernelResp& out) {
+  out = CreateKernelResp{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
-      case 1: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 1: return take_message(reader, out.status);
       case 2: return take_uint(reader, out.kernel_id);
       case 3: return take_uint(reader, out.arity);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void CreateQueueResp::encode(Writer& writer) const {
@@ -425,25 +395,15 @@ void CreateQueueResp::encode(Writer& writer) const {
   writer.field_uint(2, queue_id);
 }
 
-Result<CreateQueueResp> CreateQueueResp::decode(Reader& reader) {
-  CreateQueueResp out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status CreateQueueResp::decode(Reader& reader, CreateQueueResp& out) {
+  out = CreateQueueResp{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
-      case 1: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 1: return take_message(reader, out.status);
       case 2: return take_uint(reader, out.queue_id);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void AckResp::encode(Writer& writer) const {
@@ -452,24 +412,14 @@ void AckResp::encode(Writer& writer) const {
   writer.field_bytes(1, ByteSpan{status_writer.bytes()});
 }
 
-Result<AckResp> AckResp::decode(Reader& reader) {
-  AckResp out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status AckResp::decode(Reader& reader, AckResp& out) {
+  out = AckResp{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
-      case 1: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 1: return take_message(reader, out.status);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void HealthResp::encode(Writer& writer) const {
@@ -482,19 +432,11 @@ void HealthResp::encode(Writer& writer) const {
   writer.field_uint(5, accepting ? 1 : 0);
 }
 
-Result<HealthResp> HealthResp::decode(Reader& reader) {
-  HealthResp out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status HealthResp::decode(Reader& reader, HealthResp& out) {
+  out = HealthResp{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
-      case 1: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 1: return take_message(reader, out.status);
       case 2: return take_uint(reader, out.queue_depth);
       case 3: return take_uint(reader, out.sessions);
       case 4: return take_uint(reader, out.ops_executed);
@@ -502,8 +444,6 @@ Result<HealthResp> HealthResp::decode(Reader& reader) {
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 // --- Command-queue ops --------------------------------------------------------
@@ -521,9 +461,9 @@ void EnqueueWriteReq::encode(Writer& writer) const {
   }
 }
 
-Result<EnqueueWriteReq> EnqueueWriteReq::decode(Reader& reader) {
-  EnqueueWriteReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status EnqueueWriteReq::decode(Reader& reader, EnqueueWriteReq& out) {
+  reset_keeping_capacity(out);
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.op_id);
       case 2: return take_uint(reader, out.queue_id);
@@ -532,18 +472,10 @@ Result<EnqueueWriteReq> EnqueueWriteReq::decode(Reader& reader) {
       case 5: return take_uint(reader, out.size);
       case 9: return take_uint(reader, out.trace_id);
       case 10: return take_uint(reader, out.parent_span);
-      case 8: {
-        std::uint64_t wait = 0;
-        Status st = take_uint(reader, wait);
-        if (!st.ok()) return st;
-        out.wait_op_ids.push_back(wait);
-        return Status::Ok();
-      }
+      case 8: return append_uint(reader, out.wait_op_ids);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void WriteData::encode(Writer& writer) const {
@@ -554,9 +486,9 @@ void WriteData::encode(Writer& writer) const {
   if (!payload.empty()) writer.field_bytes(4, payload);
 }
 
-Result<WriteData> WriteData::decode(Reader& reader) {
-  WriteData out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status WriteData::decode(Reader& reader, WriteData& out) {
+  out = WriteData{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.op_id);
       case 2: return take_uint(reader, out.size);
@@ -565,8 +497,6 @@ Result<WriteData> WriteData::decode(Reader& reader) {
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void EnqueueReadReq::encode(Writer& writer) const {
@@ -583,9 +513,9 @@ void EnqueueReadReq::encode(Writer& writer) const {
   }
 }
 
-Result<EnqueueReadReq> EnqueueReadReq::decode(Reader& reader) {
-  EnqueueReadReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status EnqueueReadReq::decode(Reader& reader, EnqueueReadReq& out) {
+  reset_keeping_capacity(out);
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.op_id);
       case 2: return take_uint(reader, out.queue_id);
@@ -595,18 +525,10 @@ Result<EnqueueReadReq> EnqueueReadReq::decode(Reader& reader) {
       case 6: return take_bool(reader, out.use_shared_memory);
       case 9: return take_uint(reader, out.trace_id);
       case 10: return take_uint(reader, out.parent_span);
-      case 8: {
-        std::uint64_t wait = 0;
-        Status st = take_uint(reader, wait);
-        if (!st.ok()) return st;
-        out.wait_op_ids.push_back(wait);
-        return Status::Ok();
-      }
+      case 8: return append_uint(reader, out.wait_op_ids);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void EnqueueKernelReq::encode(Writer& writer) const {
@@ -628,39 +550,23 @@ void EnqueueKernelReq::encode(Writer& writer) const {
   }
 }
 
-Result<EnqueueKernelReq> EnqueueKernelReq::decode(Reader& reader) {
-  EnqueueKernelReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status EnqueueKernelReq::decode(Reader& reader, EnqueueKernelReq& out) {
+  reset_keeping_capacity(out);
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.op_id);
       case 2: return take_uint(reader, out.queue_id);
       case 3: return take_uint(reader, out.kernel_id);
-      case 4: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = KernelArgMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.args.push_back(decoded.value());
-        return Status::Ok();
-      }
+      case 4: return take_message(reader, out.args.emplace_back());
       case 5: return take_uint(reader, out.global_size[0]);
       case 6: return take_uint(reader, out.global_size[1]);
       case 7: return take_uint(reader, out.global_size[2]);
       case 9: return take_uint(reader, out.trace_id);
       case 10: return take_uint(reader, out.parent_span);
-      case 8: {
-        std::uint64_t wait = 0;
-        Status st = take_uint(reader, wait);
-        if (!st.ok()) return st;
-        out.wait_op_ids.push_back(wait);
-        return Status::Ok();
-      }
+      case 8: return append_uint(reader, out.wait_op_ids);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void FlushReq::encode(Writer& writer) const {
@@ -670,17 +576,15 @@ void FlushReq::encode(Writer& writer) const {
   }
 }
 
-Result<FlushReq> FlushReq::decode(Reader& reader) {
-  FlushReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status FlushReq::decode(Reader& reader, FlushReq& out) {
+  out = FlushReq{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.queue_id);
       case 2: return take_uint(reader, out.deadline_ns);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void FinishReq::encode(Writer& writer) const {
@@ -691,9 +595,9 @@ void FinishReq::encode(Writer& writer) const {
   }
 }
 
-Result<FinishReq> FinishReq::decode(Reader& reader) {
-  FinishReq out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status FinishReq::decode(Reader& reader, FinishReq& out) {
+  out = FinishReq{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.op_id);
       case 2: return take_uint(reader, out.queue_id);
@@ -701,8 +605,6 @@ Result<FinishReq> FinishReq::decode(Reader& reader) {
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 // --- Notifications -------------------------------------------------------------
@@ -711,16 +613,14 @@ void OpEnqueued::encode(Writer& writer) const {
   writer.field_uint(1, op_id);
 }
 
-Result<OpEnqueued> OpEnqueued::decode(Reader& reader) {
-  OpEnqueued out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status OpEnqueued::decode(Reader& reader, OpEnqueued& out) {
+  out = OpEnqueued{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.op_id);
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 void OpComplete::encode(Writer& writer) const {
@@ -738,20 +638,12 @@ namespace {
 
 // Shared field loop for OpComplete::decode / decode_view; `view` selects
 // whether the payload field is copied or aliased.
-Result<OpComplete> decode_op_complete(Reader& reader, bool view) {
-  OpComplete out;
-  Status s = decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
+Status decode_op_complete(Reader& reader, OpComplete& out, bool view) {
+  out = OpComplete{};
+  return decode_fields(reader, [&](Reader::FieldHeader h) -> Status {
     switch (h.field) {
       case 1: return take_uint(reader, out.op_id);
-      case 2: {
-        auto raw = reader.read_bytes();
-        if (!raw.ok()) return raw.status();
-        Reader sub(ByteSpan{raw.value()});
-        auto decoded = StatusMsg::decode(sub);
-        if (!decoded.ok()) return decoded.status();
-        out.status = decoded.value();
-        return Status::Ok();
-      }
+      case 2: return take_message(reader, out.status);
       case 3: return take_zigzag(reader, out.shm_slot);
       case 4: {
         if (!view) return take_bytes(reader, out.data);
@@ -764,18 +656,20 @@ Result<OpComplete> decode_op_complete(Reader& reader, bool view) {
       default: return reader.skip(h.type);
     }
   });
-  if (!s.ok()) return s;
-  return out;
 }
 
 }  // namespace
 
-Result<OpComplete> OpComplete::decode(Reader& reader) {
-  return decode_op_complete(reader, /*view=*/false);
+Status OpComplete::decode(Reader& reader, OpComplete& out) {
+  return decode_op_complete(reader, out, /*view=*/false);
 }
 
 Result<OpComplete> OpComplete::decode_view(Reader& reader) {
-  return decode_op_complete(reader, /*view=*/true);
+  OpComplete out;
+  if (Status s = decode_op_complete(reader, out, /*view=*/true); !s.ok()) {
+    return s;
+  }
+  return out;
 }
 
 }  // namespace bf::proto

@@ -57,6 +57,22 @@ std::string_view to_string(Method method);
 // session on a duplicate open over the same connection.
 [[nodiscard]] bool is_idempotent(Method method);
 
+// --- Decoding ------------------------------------------------------------------
+//
+// Every message decodes through one path, `T::decode(reader, out)`. It resets
+// `out` to the message defaults, except that repeated fields (wait lists,
+// kernel args) are cleared with their capacity kept, then fills it from the
+// reader. A caller that decodes each frame into one reused scratch message
+// per method therefore allocates nothing once the scratch has grown to the
+// largest message seen. On error `out` holds a partial decode. The by-value
+// `T::decode(reader)` wraps it for callers without scratch.
+template <typename T>
+Result<T> decode_value(Reader& reader) {
+  T out;
+  if (Status s = T::decode(reader, out); !s.ok()) return s;
+  return out;
+}
+
 // --- Shared submessages -----------------------------------------------------
 
 struct StatusMsg {
@@ -66,7 +82,10 @@ struct StatusMsg {
   static StatusMsg from(const Status& status);
   [[nodiscard]] Status to_status() const;
   void encode(Writer& writer) const;
-  static Result<StatusMsg> decode(Reader& reader);
+  static Status decode(Reader& reader, StatusMsg& out);
+  static Result<StatusMsg> decode(Reader& reader) {
+    return decode_value<StatusMsg>(reader);
+  }
 };
 
 struct DeviceDescriptor {
@@ -79,7 +98,10 @@ struct DeviceDescriptor {
   std::uint64_t global_memory_bytes = 0;
 
   void encode(Writer& writer) const;
-  static Result<DeviceDescriptor> decode(Reader& reader);
+  static Status decode(Reader& reader, DeviceDescriptor& out);
+  static Result<DeviceDescriptor> decode(Reader& reader) {
+    return decode_value<DeviceDescriptor>(reader);
+  }
 };
 
 struct KernelArgMsg {
@@ -90,7 +112,10 @@ struct KernelArgMsg {
   double double_value = 0.0;
 
   void encode(Writer& writer) const;
-  static Result<KernelArgMsg> decode(Reader& reader);
+  static Status decode(Reader& reader, KernelArgMsg& out);
+  static Result<KernelArgMsg> decode(Reader& reader) {
+    return decode_value<KernelArgMsg>(reader);
+  }
 };
 
 // --- Context & information methods -------------------------------------------
@@ -100,7 +125,10 @@ struct OpenSessionReq {
   bool use_shared_memory = false;
 
   void encode(Writer& writer) const;
-  static Result<OpenSessionReq> decode(Reader& reader);
+  static Status decode(Reader& reader, OpenSessionReq& out);
+  static Result<OpenSessionReq> decode(Reader& reader) {
+    return decode_value<OpenSessionReq>(reader);
+  }
 };
 
 struct OpenSessionResp {
@@ -110,14 +138,20 @@ struct OpenSessionResp {
   DeviceDescriptor device;
 
   void encode(Writer& writer) const;
-  static Result<OpenSessionResp> decode(Reader& reader);
+  static Status decode(Reader& reader, OpenSessionResp& out);
+  static Result<OpenSessionResp> decode(Reader& reader) {
+    return decode_value<OpenSessionResp>(reader);
+  }
 };
 
 struct ProgramReq {
   std::string bitstream_id;
 
   void encode(Writer& writer) const;
-  static Result<ProgramReq> decode(Reader& reader);
+  static Status decode(Reader& reader, ProgramReq& out);
+  static Result<ProgramReq> decode(Reader& reader) {
+    return decode_value<ProgramReq>(reader);
+  }
 };
 
 struct ProgramResp {
@@ -125,14 +159,20 @@ struct ProgramResp {
   bool reconfigured = false;
 
   void encode(Writer& writer) const;
-  static Result<ProgramResp> decode(Reader& reader);
+  static Status decode(Reader& reader, ProgramResp& out);
+  static Result<ProgramResp> decode(Reader& reader) {
+    return decode_value<ProgramResp>(reader);
+  }
 };
 
 struct CreateBufferReq {
   std::uint64_t size = 0;
 
   void encode(Writer& writer) const;
-  static Result<CreateBufferReq> decode(Reader& reader);
+  static Status decode(Reader& reader, CreateBufferReq& out);
+  static Result<CreateBufferReq> decode(Reader& reader) {
+    return decode_value<CreateBufferReq>(reader);
+  }
 };
 
 struct CreateBufferResp {
@@ -140,21 +180,30 @@ struct CreateBufferResp {
   std::uint64_t buffer_id = 0;
 
   void encode(Writer& writer) const;
-  static Result<CreateBufferResp> decode(Reader& reader);
+  static Status decode(Reader& reader, CreateBufferResp& out);
+  static Result<CreateBufferResp> decode(Reader& reader) {
+    return decode_value<CreateBufferResp>(reader);
+  }
 };
 
 struct ReleaseBufferReq {
   std::uint64_t buffer_id = 0;
 
   void encode(Writer& writer) const;
-  static Result<ReleaseBufferReq> decode(Reader& reader);
+  static Status decode(Reader& reader, ReleaseBufferReq& out);
+  static Result<ReleaseBufferReq> decode(Reader& reader) {
+    return decode_value<ReleaseBufferReq>(reader);
+  }
 };
 
 struct CreateKernelReq {
   std::string name;
 
   void encode(Writer& writer) const;
-  static Result<CreateKernelReq> decode(Reader& reader);
+  static Status decode(Reader& reader, CreateKernelReq& out);
+  static Result<CreateKernelReq> decode(Reader& reader) {
+    return decode_value<CreateKernelReq>(reader);
+  }
 };
 
 struct CreateKernelResp {
@@ -163,7 +212,10 @@ struct CreateKernelResp {
   std::uint64_t arity = 0;
 
   void encode(Writer& writer) const;
-  static Result<CreateKernelResp> decode(Reader& reader);
+  static Status decode(Reader& reader, CreateKernelResp& out);
+  static Result<CreateKernelResp> decode(Reader& reader) {
+    return decode_value<CreateKernelResp>(reader);
+  }
 };
 
 struct CreateQueueResp {
@@ -171,7 +223,10 @@ struct CreateQueueResp {
   std::uint64_t queue_id = 0;
 
   void encode(Writer& writer) const;
-  static Result<CreateQueueResp> decode(Reader& reader);
+  static Status decode(Reader& reader, CreateQueueResp& out);
+  static Result<CreateQueueResp> decode(Reader& reader) {
+    return decode_value<CreateQueueResp>(reader);
+  }
 };
 
 // Generic status-only response (release buffer/queue, flush ack, ...).
@@ -179,7 +234,10 @@ struct AckResp {
   StatusMsg status;
 
   void encode(Writer& writer) const;
-  static Result<AckResp> decode(Reader& reader);
+  static Status decode(Reader& reader, AckResp& out);
+  static Result<AckResp> decode(Reader& reader) {
+    return decode_value<AckResp>(reader);
+  }
 };
 
 // Liveness + load probe (request body is empty). The registry's gatherer
@@ -193,7 +251,10 @@ struct HealthResp {
   bool accepting = true;
 
   void encode(Writer& writer) const;
-  static Result<HealthResp> decode(Reader& reader);
+  static Status decode(Reader& reader, HealthResp& out);
+  static Result<HealthResp> decode(Reader& reader) {
+    return decode_value<HealthResp>(reader);
+  }
 };
 
 // --- Command-queue methods ----------------------------------------------------
@@ -212,7 +273,10 @@ struct EnqueueWriteReq {
   std::uint64_t parent_span = 0;
 
   void encode(Writer& writer) const;
-  static Result<EnqueueWriteReq> decode(Reader& reader);
+  static Status decode(Reader& reader, EnqueueWriteReq& out);
+  static Result<EnqueueWriteReq> decode(Reader& reader) {
+    return decode_value<EnqueueWriteReq>(reader);
+  }
 };
 
 // BUFFER phase of a write. Exactly one of `data` (gRPC path, bytes inline)
@@ -230,7 +294,10 @@ struct WriteData {
   ByteSpan data_view;
 
   void encode(Writer& writer) const;
-  static Result<WriteData> decode(Reader& reader);
+  static Status decode(Reader& reader, WriteData& out);
+  static Result<WriteData> decode(Reader& reader) {
+    return decode_value<WriteData>(reader);
+  }
 };
 
 struct EnqueueReadReq {
@@ -245,7 +312,10 @@ struct EnqueueReadReq {
   std::uint64_t parent_span = 0;
 
   void encode(Writer& writer) const;
-  static Result<EnqueueReadReq> decode(Reader& reader);
+  static Status decode(Reader& reader, EnqueueReadReq& out);
+  static Result<EnqueueReadReq> decode(Reader& reader) {
+    return decode_value<EnqueueReadReq>(reader);
+  }
 };
 
 struct EnqueueKernelReq {
@@ -259,7 +329,10 @@ struct EnqueueKernelReq {
   std::uint64_t parent_span = 0;
 
   void encode(Writer& writer) const;
-  static Result<EnqueueKernelReq> decode(Reader& reader);
+  static Status decode(Reader& reader, EnqueueKernelReq& out);
+  static Result<EnqueueKernelReq> decode(Reader& reader) {
+    return decode_value<EnqueueKernelReq>(reader);
+  }
 };
 
 struct FlushReq {
@@ -270,7 +343,10 @@ struct FlushReq {
   std::uint64_t deadline_ns = 0;
 
   void encode(Writer& writer) const;
-  static Result<FlushReq> decode(Reader& reader);
+  static Status decode(Reader& reader, FlushReq& out);
+  static Result<FlushReq> decode(Reader& reader) {
+    return decode_value<FlushReq>(reader);
+  }
 };
 
 // Finish = flush + completion notification carrying this op_id.
@@ -280,7 +356,10 @@ struct FinishReq {
   std::uint64_t deadline_ns = 0;  // as FlushReq::deadline_ns
 
   void encode(Writer& writer) const;
-  static Result<FinishReq> decode(Reader& reader);
+  static Status decode(Reader& reader, FinishReq& out);
+  static Result<FinishReq> decode(Reader& reader) {
+    return decode_value<FinishReq>(reader);
+  }
 };
 
 // --- Server -> client notifications ------------------------------------------
@@ -289,7 +368,10 @@ struct OpEnqueued {
   std::uint64_t op_id = 0;
 
   void encode(Writer& writer) const;
-  static Result<OpEnqueued> decode(Reader& reader);
+  static Status decode(Reader& reader, OpEnqueued& out);
+  static Result<OpEnqueued> decode(Reader& reader) {
+    return decode_value<OpEnqueued>(reader);
+  }
 };
 
 struct OpComplete {
@@ -305,7 +387,10 @@ struct OpComplete {
   ByteSpan data_view;
 
   void encode(Writer& writer) const;
-  static Result<OpComplete> decode(Reader& reader);
+  static Status decode(Reader& reader, OpComplete& out);
+  static Result<OpComplete> decode(Reader& reader) {
+    return decode_value<OpComplete>(reader);
+  }
   // Zero-copy decode: identical to decode() except the payload field lands
   // in `data_view` rather than being copied into `data`. Do not use with
   // reencode() or any reader whose buffer dies before the message.

@@ -1,6 +1,8 @@
 #include "remote/remote_runtime.h"
 
 #include <algorithm>
+#include <map>
+#include <new>
 #include <optional>
 
 #include "common/arena.h"
@@ -157,6 +159,89 @@ class RemoteEvent final : public ocl::Event {
   std::shared_ptr<shm::Segment> segment_;
 };
 
+// --- Event pooling ----------------------------------------------------------------
+
+// Free list of event blocks (a RemoteEvent and its shared_ptr control block,
+// laid out by std::allocate_shared). A context and every event it created
+// share ownership of the pool through EventAllocator, so an application may
+// keep an event past its context; the last owner frees the pool.
+class EventPool {
+ public:
+  EventPool() = default;
+  EventPool(const EventPool&) = delete;
+  EventPool& operator=(const EventPool&) = delete;
+
+  ~EventPool() {
+    while (free_ != nullptr) {
+      Block* next = free_->next;
+      ::operator delete(free_);
+      free_ = next;
+    }
+  }
+
+  void* allocate(std::size_t bytes) {
+    {
+      std::lock_guard lock(mutex_);
+      if (free_ != nullptr && bytes == block_bytes_) {
+        Block* block = free_;
+        free_ = block->next;
+        return block;
+      }
+    }
+    return ::operator new(bytes);
+  }
+
+  void deallocate(void* pointer, std::size_t bytes) {
+    std::lock_guard lock(mutex_);
+    if (block_bytes_ == 0) block_bytes_ = bytes;
+    if (bytes != block_bytes_ || bytes < sizeof(Block)) {
+      ::operator delete(pointer);
+      return;
+    }
+    free_ = new (pointer) Block{free_};
+  }
+
+ private:
+  struct Block {
+    Block* next;
+  };
+
+  std::mutex mutex_;
+  Block* free_ = nullptr;
+  std::size_t block_bytes_ = 0;  // every block holds one event
+};
+
+template <typename T>
+class EventAllocator {
+ public:
+  using value_type = T;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  explicit EventAllocator(std::shared_ptr<EventPool> pool)
+      : pool_(std::move(pool)) {}
+  template <typename U>
+  EventAllocator(const EventAllocator<U>& other)  // NOLINT: rebind
+      : pool_(other.pool()) {}
+
+  T* allocate(std::size_t count) {
+    return static_cast<T*>(pool_->allocate(count * sizeof(T)));
+  }
+  void deallocate(T* pointer, std::size_t count) {
+    pool_->deallocate(pointer, count * sizeof(T));
+  }
+
+  [[nodiscard]] const std::shared_ptr<EventPool>& pool() const {
+    return pool_;
+  }
+  template <typename U>
+  bool operator==(const EventAllocator<U>& other) const {
+    return pool_ == other.pool();
+  }
+
+ private:
+  std::shared_ptr<EventPool> pool_;
+};
+
 // --- RemoteContext ----------------------------------------------------------------
 
 class RemoteContext final : public ocl::Context {
@@ -172,6 +257,7 @@ class RemoteContext final : public ocl::Context {
         device_(std::move(device)),
         segment_(std::move(segment)),
         call_options_(call_options) {
+    spare_event_nodes_.reserve(kMaxSpareEventNodes);
     pump_ = std::thread([this] { pump_loop(); });
   }
 
@@ -240,10 +326,6 @@ class RemoteContext final : public ocl::Context {
   // --- used by RemoteQueue ----------------------------------------------------
 
   [[nodiscard]] net::Connection& connection() { return *connection_; }
-  [[nodiscard]] const std::shared_ptr<net::Connection>& connection_ptr()
-      const {
-    return connection_;
-  }
   [[nodiscard]] const std::shared_ptr<shm::Segment>& segment() const {
     return segment_;
   }
@@ -254,10 +336,32 @@ class RemoteContext final : public ocl::Context {
 
   std::uint64_t next_op_id() { return op_counter_.fetch_add(1) + 1; }
 
+  // A new event for op `op_id`, drawn from the context's event pool.
+  std::shared_ptr<RemoteEvent> make_event(std::uint64_t op_id,
+                                          RemoteQueue* queue) {
+    return std::allocate_shared<RemoteEvent>(
+        EventAllocator<RemoteEvent>(event_pool_), op_id, session_,
+        connection_, queue, call_options_);
+  }
+
+  // Events are registered once their call is valid, just before its first
+  // send, and unregistered when a send fails: a rejected call leaves no
+  // registration behind.
   void register_event(std::uint64_t op_id, std::shared_ptr<RemoteEvent> ev) {
     std::lock_guard lock(events_mutex_);
-    events_[op_id] = std::move(ev);
+    if (spare_event_nodes_.empty()) {
+      events_.emplace(op_id, std::move(ev));
+      return;
+    }
+    // Reuse a retired event's node: the steady state allocates none. Op ids
+    // come from op_counter_, so the key is always new.
+    EventMap::node_type node = std::move(spare_event_nodes_.back());
+    spare_event_nodes_.pop_back();
+    node.key() = op_id;
+    node.mapped() = std::move(ev);
+    events_.insert(std::move(node));
   }
+  void unregister_event(std::uint64_t op_id) { (void)take_event(op_id); }
 
  private:
   // Unary call with this channel's CallOptions; the retry policy is only
@@ -293,6 +397,15 @@ class RemoteContext final : public ocl::Context {
   std::shared_ptr<RemoteEvent> take_event(std::uint64_t op_id);
   std::shared_ptr<RemoteEvent> peek_event(std::uint64_t op_id);
 
+  using EventMap = std::map<std::uint64_t, std::shared_ptr<RemoteEvent>>;
+  static constexpr std::size_t kMaxSpareEventNodes = 64;
+  // Keeps a node whose event was moved out, for the next register_event.
+  void recycle_event_node_locked(EventMap::node_type&& node) {
+    if (spare_event_nodes_.size() >= kMaxSpareEventNodes) return;  // freed
+    node.mapped() = nullptr;
+    spare_event_nodes_.push_back(std::move(node));
+  }
+
   std::shared_ptr<net::Connection> connection_;
   ocl::Session* session_;
   std::uint64_t session_id_;
@@ -301,23 +414,27 @@ class RemoteContext final : public ocl::Context {
   CallOptions call_options_;
 
   std::atomic<std::uint64_t> op_counter_{0};
+  std::shared_ptr<EventPool> event_pool_ = std::make_shared<EventPool>();
   std::mutex events_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<RemoteEvent>> events_;
+  // Registered events awaiting their completion, by op id.
+  EventMap events_;
+  std::vector<EventMap::node_type> spare_event_nodes_;
 
   std::thread pump_;
 };
 
 // --- RemoteQueue -----------------------------------------------------------------
 
-// Converts an event wait list into the server-side op-id dependency list.
+// Converts an event wait list into the server-side op-id dependency list,
+// written into `out` (a reused request's wait list).
 // Only events produced by this runtime carry op ids. A dependency that
 // already reached a terminal failure state (FAILED / TIMED_OUT) poisons the
 // new op: fail fast client-side with FAILED_PRECONDITION rather than ship a
 // call whose prerequisite outcome will never arrive. (The Device Manager
 // applies the same rule server-side against its completed-op set.)
-Result<std::vector<std::uint64_t>> to_wait_ids(ocl::EventWaitList wait_list) {
-  std::vector<std::uint64_t> out;
-  out.reserve(wait_list.size());
+Status to_wait_ids(ocl::EventWaitList wait_list,
+                   std::vector<std::uint64_t>& out) {
+  out.clear();
   for (const ocl::EventPtr& event : wait_list) {
     if (event == nullptr) continue;
     auto* remote_event = dynamic_cast<RemoteEvent*>(event.get());
@@ -332,7 +449,7 @@ Result<std::vector<std::uint64_t>> to_wait_ids(ocl::EventWaitList wait_list) {
     }
     out.push_back(remote_event->op_id());
   }
-  return out;
+  return Status::Ok();
 }
 
 class RemoteQueue final : public ocl::CommandQueue {
@@ -364,27 +481,27 @@ class RemoteQueue final : public ocl::CommandQueue {
                                            Bytes* owned, bool blocking,
                                            ocl::EventWaitList wait_list) {
     auto& session = context_->session();
-    const std::uint64_t op_id = context_->next_op_id();
-    auto event = std::make_shared<RemoteEvent>(op_id, &session,
-                                               context_->connection_ptr(), this,
-                                               context_->call_options());
-    context_->register_event(op_id, event);
-
-    auto wait_ids = to_wait_ids(wait_list);
-    if (!wait_ids.ok()) return wait_ids.status();
     // INIT: call metadata (buffer id, size, offset).
-    proto::EnqueueWriteReq request;
+    proto::EnqueueWriteReq& request = write_request_;
+    if (Status s = to_wait_ids(wait_list, request.wait_op_ids); !s.ok()) {
+      return s;
+    }
+    const std::uint64_t op_id = context_->next_op_id();
     request.op_id = op_id;
     request.queue_id = queue_id_;
     request.buffer_id = buffer.id;
     request.offset = offset;
     request.size = data.size();
-    request.wait_op_ids = std::move(wait_ids.value());
     request.trace_id = session.trace_context().trace_id;
     request.parent_span = session.trace_context().span_id;
+    auto event = context_->make_event(op_id, this);
+    context_->register_event(op_id, event);
     Status sent = context_->connection().send(
         proto::Method::kEnqueueWrite, op_id, encode(request), session.clock());
-    if (!sent.ok()) return sent;
+    if (!sent.ok()) {
+      context_->unregister_event(op_id);
+      return sent;
+    }
 
     // BUFFER: stage the payload. Shared memory when granted (one modeled
     // copy, charged to our clock); otherwise inline protobuf bytes. The
@@ -398,7 +515,10 @@ class RemoteQueue final : public ocl::CommandQueue {
                       ? context_->segment()->stage(std::move(*owned),
                                                    session.clock())
                       : context_->segment()->stage(data, session.clock());
-      if (!slot.ok()) return slot.status();
+      if (!slot.ok()) {
+        context_->unregister_event(op_id);
+        return slot.status();
+      }
       payload.shm_slot = slot.value();
     } else if (owned != nullptr) {
       payload.data = std::move(*owned);
@@ -411,7 +531,10 @@ class RemoteQueue final : public ocl::CommandQueue {
     // into the shm slot; whatever heap block is still here goes back to
     // the pool for the next request's payload.
     arena::recycle(std::move(payload.data));
-    if (!sent.ok()) return sent;
+    if (!sent.ok()) {
+      context_->unregister_event(op_id);
+      return sent;
+    }
     event->mark_buffer_staged();
     dirty_ = true;
 
@@ -419,7 +542,7 @@ class RemoteQueue final : public ocl::CommandQueue {
       if (Status s = flush(); !s.ok()) return s;
       if (Status s = event->wait(); !s.ok()) return s;
     }
-    return ocl::EventPtr(event);
+    return ocl::EventPtr(std::move(event));
   }
 
   Result<ocl::EventPtr> enqueue_read(const ocl::Buffer& buffer,
@@ -427,60 +550,48 @@ class RemoteQueue final : public ocl::CommandQueue {
                                      bool blocking,
                                      ocl::EventWaitList wait_list) override {
     auto& session = context_->session();
+    proto::EnqueueReadReq& request = read_request_;
+    if (Status s = to_wait_ids(wait_list, request.wait_op_ids); !s.ok()) {
+      return s;
+    }
     const std::uint64_t op_id = context_->next_op_id();
-    auto event = std::make_shared<RemoteEvent>(op_id, &session,
-                                               context_->connection_ptr(), this,
-                                               context_->call_options());
-    event->set_read_target(out, context_->segment());
-    context_->register_event(op_id, event);
-
-    auto wait_ids = to_wait_ids(wait_list);
-    if (!wait_ids.ok()) return wait_ids.status();
-    proto::EnqueueReadReq request;
     request.op_id = op_id;
     request.queue_id = queue_id_;
     request.buffer_id = buffer.id;
     request.offset = offset;
     request.size = out.size();
     request.use_shared_memory = context_->shm_enabled();
-    request.wait_op_ids = std::move(wait_ids.value());
     request.trace_id = session.trace_context().trace_id;
     request.parent_span = session.trace_context().span_id;
+    auto event = context_->make_event(op_id, this);
+    event->set_read_target(out, context_->segment());
+    context_->register_event(op_id, event);
     Status sent = context_->connection().send(
         proto::Method::kEnqueueRead, op_id, encode(request), session.clock());
-    if (!sent.ok()) return sent;
+    if (!sent.ok()) {
+      context_->unregister_event(op_id);
+      return sent;
+    }
     dirty_ = true;
 
     if (blocking) {
       if (Status s = flush(); !s.ok()) return s;
       if (Status s = event->wait(); !s.ok()) return s;
     }
-    return ocl::EventPtr(event);
+    return ocl::EventPtr(std::move(event));
   }
 
   Result<ocl::EventPtr> enqueue_kernel(const ocl::Kernel& kernel,
                                        ocl::NdRange range,
                                        ocl::EventWaitList wait_list) override {
     auto& session = context_->session();
-    const std::uint64_t op_id = context_->next_op_id();
-    auto event = std::make_shared<RemoteEvent>(op_id, &session,
-                                               context_->connection_ptr(), this,
-                                               context_->call_options());
-    context_->register_event(op_id, event);
-
-    auto wait_ids = to_wait_ids(wait_list);
-    if (!wait_ids.ok()) return wait_ids.status();
-    proto::EnqueueKernelReq request;
-    request.op_id = op_id;
-    request.queue_id = queue_id_;
-    request.kernel_id = kernel.id();
-    request.global_size = {range.x, range.y, range.z};
-    request.wait_op_ids = std::move(wait_ids.value());
-    request.trace_id = session.trace_context().trace_id;
-    request.parent_span = session.trace_context().span_id;
-    request.args.reserve(kernel.args().size());
+    proto::EnqueueKernelReq& request = kernel_request_;
+    if (Status s = to_wait_ids(wait_list, request.wait_op_ids); !s.ok()) {
+      return s;
+    }
+    request.args.clear();
     for (const ocl::KernelArgValue& arg : kernel.args()) {
-      proto::KernelArgMsg msg;
+      proto::KernelArgMsg& msg = request.args.emplace_back();
       if (const auto* ref = std::get_if<ocl::BufferRef>(&arg)) {
         msg.kind = proto::KernelArgMsg::Kind::kBuffer;
         msg.buffer_id = ref->id;
@@ -493,14 +604,25 @@ class RemoteQueue final : public ocl::CommandQueue {
       } else {
         return InvalidArgument("kernel '" + kernel.name() + "' has unset arg");
       }
-      request.args.push_back(msg);
     }
+    const std::uint64_t op_id = context_->next_op_id();
+    request.op_id = op_id;
+    request.queue_id = queue_id_;
+    request.kernel_id = kernel.id();
+    request.global_size = {range.x, range.y, range.z};
+    request.trace_id = session.trace_context().trace_id;
+    request.parent_span = session.trace_context().span_id;
+    auto event = context_->make_event(op_id, this);
+    context_->register_event(op_id, event);
     Status sent = context_->connection().send(
         proto::Method::kEnqueueKernel, op_id, encode(request),
         session.clock());
-    if (!sent.ok()) return sent;
+    if (!sent.ok()) {
+      context_->unregister_event(op_id);
+      return sent;
+    }
     dirty_ = true;
-    return ocl::EventPtr(event);
+    return ocl::EventPtr(std::move(event));
   }
 
   Status flush() override {
@@ -524,9 +646,7 @@ class RemoteQueue final : public ocl::CommandQueue {
   Status finish() override {
     auto& session = context_->session();
     const std::uint64_t op_id = context_->next_op_id();
-    auto event = std::make_shared<RemoteEvent>(op_id, &session,
-                                               context_->connection_ptr(), this,
-                                               context_->call_options());
+    auto event = context_->make_event(op_id, this);
     context_->register_event(op_id, event);
     proto::FinishReq request;
     request.op_id = op_id;
@@ -537,7 +657,10 @@ class RemoteQueue final : public ocl::CommandQueue {
     }
     Status sent = context_->connection().send(
         proto::Method::kFinish, op_id, encode(request), session.clock());
-    if (!sent.ok()) return sent;
+    if (!sent.ok()) {
+      context_->unregister_event(op_id);
+      return sent;
+    }
     dirty_ = false;  // Finish seals the task server-side
     return event->wait();
   }
@@ -549,6 +672,10 @@ class RemoteQueue final : public ocl::CommandQueue {
   RemoteContext* context_;
   std::uint64_t queue_id_;
   bool dirty_ = false;  // ops enqueued since last flush
+  // Reused request messages: their wait lists and args keep their capacity.
+  proto::EnqueueWriteReq write_request_;
+  proto::EnqueueReadReq read_request_;
+  proto::EnqueueKernelReq kernel_request_;
 };
 
 Status RemoteEvent::wait() {
@@ -696,10 +823,10 @@ void RemoteContext::process_notification(const net::Frame& frame) {
 }
 
 void RemoteContext::fail_pending(const Status& status) {
-  std::map<std::uint64_t, std::shared_ptr<RemoteEvent>> pending;
+  EventMap pending;
   {
     std::lock_guard lock(events_mutex_);
-    pending.swap(events_);
+    std::swap(pending, events_);
   }
   for (auto& [op_id, event] : pending) {
     event->complete(status, session_->now());
@@ -710,15 +837,16 @@ std::shared_ptr<RemoteEvent> RemoteContext::take_event(std::uint64_t op_id) {
   std::lock_guard lock(events_mutex_);
   auto it = events_.find(op_id);
   if (it == events_.end()) return nullptr;
-  auto event = it->second;
-  events_.erase(it);
+  EventMap::node_type node = events_.extract(it);
+  std::shared_ptr<RemoteEvent> event = std::move(node.mapped());
+  recycle_event_node_locked(std::move(node));
   return event;
 }
 
 std::shared_ptr<RemoteEvent> RemoteContext::peek_event(std::uint64_t op_id) {
   std::lock_guard lock(events_mutex_);
   auto it = events_.find(op_id);
-  return it == events_.end() ? nullptr : it->second;
+  return it != events_.end() ? it->second : nullptr;
 }
 
 // --- RemoteRuntime ----------------------------------------------------------------

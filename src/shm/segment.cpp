@@ -14,12 +14,15 @@ namespace {
 // points) do not pin host memory.
 constexpr std::size_t kMaxSpareBuffers = 4;
 constexpr std::uint64_t kMaxSpareBytes = 64ULL << 20;
+// Spare slot-map nodes: more than the slots a request keeps live at once.
+constexpr std::size_t kMaxSpareNodes = 16;
 
 }  // namespace
 
 Segment::Segment(sim::CopyModel copy_model, std::uint64_t capacity_bytes)
     : copy_model_(copy_model), capacity_(capacity_bytes) {
   BF_CHECK(capacity_bytes > 0);
+  spare_nodes_.reserve(kMaxSpareNodes);
 }
 
 Result<std::int64_t> Segment::stage(ByteSpan data, vt::Cursor& cursor) {
@@ -88,7 +91,7 @@ Status Segment::fetch(std::int64_t slot, MutableByteSpan out,
     bytes_copied_ += out.size();
     ++copies_;
     used_ -= it->second.size;
-    slots_.erase(it);
+    erase_locked(it);
   }
   cursor.advance(copy_model_.copy_time(out.size()));
   return Status::Ok();
@@ -112,7 +115,7 @@ Result<Bytes> Segment::fetch_take(std::int64_t slot, vt::Cursor& cursor) {
     bytes_copied_ += size;
     ++copies_;
     used_ -= size;
-    slots_.erase(it);
+    erase_locked(it);
   }
   cursor.advance(copy_model_.copy_time(size));
   return out;
@@ -160,7 +163,7 @@ Status Segment::release(std::int64_t slot) {
   }
   used_ -= it->second.size;
   if (!it->second.zero) recycle_locked(std::move(it->second.storage));
-  slots_.erase(it);
+  erase_locked(it);
   return Status::Ok();
 }
 
@@ -193,10 +196,30 @@ Result<std::int64_t> Segment::allocate_locked(std::uint64_t size) {
   Slot slot;
   slot.size = size;
   slot.storage = take_storage_locked(size);
-  const std::int64_t id = next_slot_++;
-  slots_.emplace(id, std::move(slot));
+  const std::int64_t id = emplace_locked(std::move(slot));
   used_ += size;
   return id;
+}
+
+std::int64_t Segment::emplace_locked(Slot&& slot) {
+  const std::int64_t id = next_slot_++;
+  if (spare_nodes_.empty()) {
+    slots_.emplace(id, std::move(slot));
+    return id;
+  }
+  SlotMap::node_type node = std::move(spare_nodes_.back());
+  spare_nodes_.pop_back();
+  node.key() = id;
+  node.mapped() = std::move(slot);
+  slots_.insert(std::move(node));
+  return id;
+}
+
+void Segment::erase_locked(SlotMap::iterator it) {
+  SlotMap::node_type node = slots_.extract(it);
+  if (spare_nodes_.size() >= kMaxSpareNodes) return;  // freed
+  node.mapped() = Slot{};
+  spare_nodes_.push_back(std::move(node));
 }
 
 Bytes Segment::take_storage_locked(std::uint64_t size) {
@@ -240,8 +263,7 @@ Result<std::int64_t> Segment::insert_locked(Bytes&& storage) {
   Slot slot;
   slot.size = size;
   slot.storage = std::move(storage);
-  const std::int64_t id = next_slot_++;
-  slots_.emplace(id, std::move(slot));
+  const std::int64_t id = emplace_locked(std::move(slot));
   used_ += size;
   return id;
 }

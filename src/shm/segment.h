@@ -108,7 +108,15 @@ class Segment {
     bool zero = false;
   };
 
+  using SlotMap = std::map<std::int64_t, Slot>;
+
   Result<std::int64_t> allocate_locked(std::uint64_t size);
+  // Files `slot` under the next id in a recycled map node when one is
+  // spare, so the steady-state stage/fetch cycle allocates no node.
+  std::int64_t emplace_locked(Slot&& slot);
+  // Erases a slot (its storage already recycled or moved out), keeping the
+  // node for the next emplace_locked.
+  void erase_locked(SlotMap::iterator it);
   // Uninitialized storage of at least `size` bytes: a spare buffer, else a
   // pooled arena buffer.
   Bytes take_storage_locked(std::uint64_t size);
@@ -121,7 +129,11 @@ class Segment {
   sim::CopyModel copy_model_;
   std::uint64_t capacity_;
   mutable std::mutex mutex_;
-  std::map<std::int64_t, Slot> slots_;
+  // A map, not a vector: view()/writable_view() hand out spans into a
+  // slot's storage (inline for small payloads), so a slot must not move
+  // while other slots come and go.
+  SlotMap slots_;
+  std::vector<SlotMap::node_type> spare_nodes_;  // reused by emplace_locked
   // Bounded cache of released slot buffers, so the steady-state stage/fetch
   // cycle allocates no fresh host memory.
   std::vector<Bytes> spare_;

@@ -144,7 +144,7 @@ TEST(GateEdge, ShutdownWhileConsumerBlocksInSchedulerPop) {
   task.seq = 1;
   task.client_id = "a";
   task.ready = Time::millis(10);
-  ASSERT_TRUE(queue->push(task).ok());
+  ASSERT_TRUE(queue->push(std::move(task)).ok());
   std::atomic<bool> done{false};
   devmgr::PopResult popped;
   std::thread consumer([&] {

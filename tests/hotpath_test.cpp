@@ -1,12 +1,23 @@
 // Hot-path memory discipline (docs/PERFORMANCE.md): the per-request data
 // plane must MOVE payloads end-to-end and recycle storage through the arena
 // free lists, so a steady-state request stream makes no Bytes deep copies
-// and no new Bytes heap allocations after warmup. The tests diff the
-// process-wide Bytes instrumentation counters around a measured window.
+// and no new Bytes heap allocations after warmup; and the control plane
+// around it (events, decode, session tables, scheduler, worker) reuses its
+// storage, so a steady-state request makes no heap allocation at all. The
+// tests diff the process-wide Bytes instrumentation counters, and a global
+// operator new counter local to this binary, around a measured window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <new>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -17,17 +28,75 @@
 #include "shm/segment.h"
 #include "sim/bitstream.h"
 #include "sim/board.h"
+#include "ocl/runtime.h"
+
+// ---- allocation counting hook (binary-local) --------------------------------
+//
+// Replaces the global allocation functions for this binary only, like
+// bench/e2e/host_probe.cpp. Counts every allocation on every thread: the
+// client, the connection pump, the dispatcher and the device worker.
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace bf {
 namespace {
 
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
 struct Rig {
-  explicit Rig(bool with_shm) {
+  explicit Rig(bool with_shm, bool functional = true) {
     sim::BoardConfig bc;
     bc.id = "fpga-b";
     bc.node = "B";
     bc.host = sim::make_node_b();
     bc.memory_bytes = 64 * kMiB;
+    bc.functional = functional;
     board = std::make_unique<sim::Board>(bc);
     devmgr::DeviceManagerConfig mc;
     mc.id = "devmgr-b";
@@ -156,6 +225,197 @@ TEST(HotPathDiscipline, ShmRequestLoopIsAllocationFreeAfterWarmup) {
     payload = std::move(next);
   }
   EXPECT_EQ(Bytes::heap_alloc_count() - allocs_before, 0u);
+}
+
+// AlexNet's request shapes on a timing-only board (the bench/e2e setting):
+// a write, a 14-argument conv launch whose wait list names the write,
+// finish(), then a blocking read. The conv launch has PipeCNN's argument
+// list at a small layer size.
+struct ConvRequest {
+  explicit ConvRequest(ocl::Context& context) {
+    auto created = context.create_kernel("conv");
+    ok = created.ok();
+    if (!ok) return;
+    kernel = created.value();
+    auto in_buffer = context.create_buffer(input.size());
+    auto weights = context.create_buffer(4 * 3 * 3 * 3 * sizeof(float));
+    auto bias = context.create_buffer(4 * sizeof(float));
+    auto out_buffer = context.create_buffer(output.size());
+    auto created_queue = context.create_queue();
+    ok = in_buffer.ok() && weights.ok() && bias.ok() && out_buffer.ok() &&
+         created_queue.ok();
+    if (!ok) return;
+    in = in_buffer.value();
+    out = out_buffer.value();
+    queue = std::move(created_queue.value());
+    kernel.set_arg(0, in);
+    kernel.set_arg(1, weights.value());
+    kernel.set_arg(2, bias.value());
+    kernel.set_arg(3, out);
+    const std::int64_t shape[] = {3, 8, 8, 4, 8, 8, 3, 1, 1, 1};
+    for (std::size_t i = 0; i < std::size(shape); ++i) {
+      kernel.set_arg(4 + i, shape[i]);
+    }
+  }
+
+  // No gtest assertion inside: a passing one may still allocate.
+  bool run() {
+    auto write = queue->enqueue_write(in, 0, ByteSpan{input},
+                                      /*blocking=*/false);
+    if (!write.ok()) return false;
+    const ocl::EventPtr waits[] = {write.value()};
+    auto launch = queue->enqueue_kernel(kernel, ocl::NdRange{4, 8, 8}, waits);
+    if (!launch.ok() || !queue->finish().ok()) return false;
+    auto read = queue->enqueue_read(out, 0, MutableByteSpan{output},
+                                    /*blocking=*/true);
+    return read.ok();
+  }
+
+  bool ok = false;
+  ocl::Kernel kernel;
+  ocl::Buffer in;
+  ocl::Buffer out;
+  std::unique_ptr<ocl::CommandQueue> queue;
+  Bytes input = Bytes(3 * 8 * 8 * sizeof(float), 0x11);
+  Bytes output = Bytes(4 * 8 * 8 * sizeof(float));
+};
+
+// The control-plane gate: once warm, a request allocates nothing on any
+// thread of either transport — no event, map node, decoded vector, queue
+// node or launch args — and the Bytes counters stay flat as well.
+//
+// Two per-op logs still grow for the life of a session or board until
+// they are bounded: the board's busy log and the session's completion
+// table. Both are vectors that gain a fixed number of entries per request,
+// so they allocate only when they double. The gate therefore asks that the
+// quietest of a few consecutive windows allocates nothing, and that the
+// windows together allocate no more than those doublings: growing from the
+// warmup's entries to the end's, each log doubles at most
+// ceil(log2(end / warmup)) times. An allocation every request, or every
+// few dozen requests, exceeds that bound.
+void expect_allocation_free_requests(bool with_shm) {
+  Rig rig(with_shm, /*functional=*/false);
+  ocl::Session session("tenant");
+  auto context = rig.runtime->create_context("fpga-b", session);
+  ASSERT_TRUE(context.ok());
+  ASSERT_TRUE(context.value()->program(sim::BitstreamLibrary::kAlexNet).ok());
+  ConvRequest request(*context.value());
+  ASSERT_TRUE(request.ok);
+  constexpr int kWarmupRequests = 16;
+  for (int i = 0; i < kWarmupRequests; ++i) ASSERT_TRUE(request.run());
+
+  const std::uint64_t bytes_allocs_before = Bytes::heap_alloc_count();
+  const std::uint64_t copies_before = Bytes::deep_copy_count();
+  constexpr int kWindows = 6;
+  constexpr int kRequestsPerWindow = 32;
+  std::vector<std::uint64_t> window_allocs;
+  bool all_ok = true;
+  for (int w = 0; w < kWindows; ++w) {
+    const std::uint64_t before = allocations();
+    for (int i = 0; i < kRequestsPerWindow; ++i) {
+      all_ok = request.run() && all_ok;
+    }
+    window_allocs.push_back(allocations() - before);
+  }
+  EXPECT_TRUE(all_ok);
+  std::string counts;
+  for (std::uint64_t count : window_allocs) {
+    counts += " " + std::to_string(count);
+  }
+  EXPECT_EQ(*std::min_element(window_allocs.begin(), window_allocs.end()), 0u)
+      << "heap allocations per " << kRequestsPerWindow
+      << "-request window:" << counts;
+  constexpr int kGrowingLogs = 2;
+  constexpr double kGrowth =
+      static_cast<double>(kWarmupRequests + kWindows * kRequestsPerWindow) /
+      kWarmupRequests;
+  const auto doublings =
+      static_cast<std::uint64_t>(std::ceil(std::log2(kGrowth)));
+  EXPECT_LE(std::accumulate(window_allocs.begin(), window_allocs.end(),
+                            std::uint64_t{0}),
+            kGrowingLogs * doublings)
+      << "heap allocations per " << kRequestsPerWindow
+      << "-request window:" << counts;
+  EXPECT_EQ(Bytes::heap_alloc_count() - bytes_allocs_before, 0u);
+  EXPECT_EQ(Bytes::deep_copy_count() - copies_before, 0u);
+}
+
+TEST(HotPathDiscipline, GrpcControlPlaneIsAllocationFree) {
+  expect_allocation_free_requests(/*with_shm=*/false);
+}
+
+TEST(HotPathDiscipline, ShmControlPlaneIsAllocationFree) {
+  expect_allocation_free_requests(/*with_shm=*/true);
+}
+
+// An event the remote runtime did not create: a wait list naming it is
+// rejected before anything is sent.
+class ForeignEvent final : public ocl::Event {
+ public:
+  [[nodiscard]] ocl::EventStatus status() const override {
+    return ocl::EventStatus::kComplete;
+  }
+  Status wait() override { return Status::Ok(); }
+  [[nodiscard]] vt::Time completion_time() const override {
+    return vt::Time::zero();
+  }
+};
+
+// A rejected enqueue leaves nothing behind: no event is registered (it would
+// stay in the context's table for the context's life), so the only
+// allocation it makes is the message of the Status it returns.
+TEST(HotPathDiscipline, RejectedEnqueuesAllocateOnlyTheirStatus) {
+  Rig rig(/*with_shm=*/false, /*functional=*/false);
+  ocl::Session session("tenant");
+  auto context = rig.runtime->create_context("fpga-b", session);
+  ASSERT_TRUE(context.ok());
+  ASSERT_TRUE(context.value()->program(sim::BitstreamLibrary::kAlexNet).ok());
+  ConvRequest request(*context.value());
+  ASSERT_TRUE(request.ok);
+  ASSERT_TRUE(request.run());
+  const ocl::EventPtr foreign[] = {std::make_shared<ForeignEvent>()};
+  ocl::CommandQueue& queue = *request.queue;
+  auto probe = queue.enqueue_write(request.in, 0, ByteSpan{request.input},
+                                   /*blocking=*/false, foreign);
+  ASSERT_EQ(probe.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = probe.status().message();
+
+  constexpr int kRejected = 256;
+  std::vector<Result<ocl::EventPtr>> results;
+  results.reserve(kRejected);
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < kRejected; ++i) {
+    switch (i % 3) {
+      case 0:
+        results.push_back(queue.enqueue_write(
+            request.in, 0, ByteSpan{request.input}, /*blocking=*/false,
+            foreign));
+        break;
+      case 1:
+        results.push_back(queue.enqueue_read(
+            request.out, 0, MutableByteSpan{request.output},
+            /*blocking=*/false, foreign));
+        break;
+      default:
+        results.push_back(queue.enqueue_kernel(
+            request.kernel, ocl::NdRange{4, 8, 8}, foreign));
+        break;
+    }
+  }
+  const std::uint64_t rejected = allocations() - before;
+
+  std::vector<Status> built;
+  built.reserve(kRejected);
+  const std::uint64_t built_before = allocations();
+  for (int i = 0; i < kRejected; ++i) built.push_back(InvalidArgument(message));
+  const std::uint64_t building = allocations() - built_before;
+
+  for (const Result<ocl::EventPtr>& result : results) {
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(rejected, building);
+  // The context still works: nothing leaked into its event table.
+  EXPECT_TRUE(request.run());
 }
 
 // Segment-level regression: the stage(Bytes&&) -> fetch_take cycle and the

@@ -14,7 +14,8 @@
 //   2. net          — late reply vs wedged server vs dropped-reply retry
 //                     against a hand-rolled echo server;
 //   3. devmgr       — health() snapshots, the kHealthCheck RPC, idempotent
-//                     duplicate OpenSession;
+//                     duplicate OpenSession, and command frames it cannot
+//                     admit failing their ops instead of dropping them;
 //   4. remote       — a recovery matrix: the PR-1 fault sites re-armed WITH
 //                     deadlines/retries, asserting every scenario completes
 //                     or fast-fails with an expected ErrorCode, stays inside
@@ -26,7 +27,9 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -383,6 +386,149 @@ TEST(DevmgrHealth, HealthCheckRpcAndDuplicateOpenSession) {
   ASSERT_TRUE(dup_resp.ok());
   EXPECT_TRUE(dup_resp.value().status.to_status().ok());
   EXPECT_EQ(dup_resp.value().session_id, session_id);
+}
+
+// A raw client connection with an open session, for frames the remote
+// library would never send. With `segment` set, the session asks for shared
+// memory and `*segment` receives its segment.
+std::shared_ptr<net::Connection> open_raw_session(
+    ManagerRig& rig, vt::Cursor& cursor,
+    std::shared_ptr<shm::Segment>* segment = nullptr) {
+  auto conn = rig.manager->endpoint().connect(
+      "probe-client", net::local_control(sim::make_node_b()), cursor);
+  if (!conn.ok()) return nullptr;
+  proto::OpenSessionReq open;
+  open.client_id = "probe-client";
+  open.use_shared_memory = segment != nullptr;
+  auto reply =
+      conn.value()->call(proto::Method::kOpenSession, encode(open), cursor);
+  if (!reply.ok()) return nullptr;
+  if (segment != nullptr) {
+    auto resp = decode_payload<proto::OpenSessionResp>(reply.value());
+    if (!resp.ok() || !resp.value().shared_memory_granted) return nullptr;
+    auto opened = rig.node_shm.open(
+        rig.manager->segment_name(resp.value().session_id));
+    if (!opened.ok()) return nullptr;
+    *segment = opened.value();
+  }
+  return conn.value();
+}
+
+// Collects `count` OpComplete notifications by op id. Bounded in real time,
+// so a dropped frame fails the test instead of hanging it.
+std::map<std::uint64_t, Status> await_completions(net::Connection& conn,
+                                                  std::size_t count) {
+  std::map<std::uint64_t, Status> completed;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (completed.size() < count &&
+         std::chrono::steady_clock::now() < give_up) {
+    auto next = conn.notifications().try_pop();
+    if (!next.has_item()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    if (next.item->method != proto::Method::kOpComplete) continue;
+    auto note = decode_payload<proto::OpComplete>(*next.item);
+    if (!note.ok() || note.value().op_id != next.item->correlation) continue;
+    completed[note.value().op_id] = note.value().status.to_status();
+  }
+  return completed;
+}
+
+// A command frame the manager cannot decode still completes its op: the
+// client's event gets an InvalidArgument OpComplete keyed by the frame's op
+// id instead of waiting forever (finish() without a deadline would block).
+TEST(DevmgrHealth, UndecodableCommandFramesFailTheirOps) {
+  ManagerRig rig;
+  vt::Cursor cursor;
+  auto conn = open_raw_session(rig, cursor);
+  ASSERT_NE(conn, nullptr);
+
+  // Both frames are cut off inside their first varint (op id 300 takes two
+  // bytes after the field tag).
+  proto::EnqueueKernelReq kernel;
+  kernel.op_id = 300;
+  Bytes truncated_kernel = encode(kernel);
+  truncated_kernel.resize(2);
+  proto::FinishReq finish;
+  finish.op_id = 301;
+  Bytes truncated_finish = encode(finish);
+  truncated_finish.resize(2);
+  ASSERT_TRUE(conn->send(proto::Method::kEnqueueKernel, 300,
+                         std::move(truncated_kernel), cursor)
+                  .ok());
+  ASSERT_TRUE(conn->send(proto::Method::kFinish, 301,
+                         std::move(truncated_finish), cursor)
+                  .ok());
+
+  auto completed = await_completions(*conn, 2);
+  ASSERT_EQ(completed.size(), 2u) << "an undecodable frame was dropped";
+  EXPECT_EQ(completed[300].code(), StatusCode::kInvalidArgument)
+      << completed[300].to_string();
+  EXPECT_EQ(completed[301].code(), StatusCode::kInvalidArgument)
+      << completed[301].to_string();
+}
+
+// Op ids index the session's dense completion table, so an id far past the
+// session's highest is refused, not grown to; so is an unknown queue. A
+// rejected write's payload, staged before the rejection, is released.
+TEST(DevmgrHealth, OutOfRangeOpIdsAndQueuesAreRejected) {
+  ManagerRig rig;
+  vt::Cursor cursor;
+  std::shared_ptr<shm::Segment> segment;
+  auto conn = open_raw_session(rig, cursor, &segment);
+  ASSERT_NE(conn, nullptr);
+  auto queue_reply = conn->call(proto::Method::kCreateQueue, Bytes{}, cursor);
+  ASSERT_TRUE(queue_reply.ok());
+  auto queue = decode_payload<proto::CreateQueueResp>(queue_reply.value());
+  ASSERT_TRUE(queue.ok());
+
+  constexpr std::uint64_t kFarOpId = std::uint64_t{1} << 40;
+  proto::FinishReq far;
+  far.op_id = kFarOpId;
+  far.queue_id = queue.value().queue_id;
+  proto::FinishReq unknown_queue;
+  unknown_queue.op_id = 1;
+  unknown_queue.queue_id = queue.value().queue_id + 1;
+  ASSERT_TRUE(
+      conn->send(proto::Method::kFinish, far.op_id, encode(far), cursor).ok());
+  ASSERT_TRUE(conn->send(proto::Method::kFinish, unknown_queue.op_id,
+                         encode(unknown_queue), cursor)
+                  .ok());
+  // A write to the unknown queue whose payload is staged in shm, sent the
+  // way the client library sends it: metadata, then data without an ack.
+  proto::EnqueueWriteReq write;
+  write.op_id = 2;
+  write.queue_id = unknown_queue.queue_id;
+  write.size = 64;
+  ASSERT_TRUE(
+      conn->send(proto::Method::kEnqueueWrite, write.op_id, encode(write),
+                 cursor)
+          .ok());
+  Bytes payload(write.size);
+  auto slot = segment->stage(ByteSpan{payload}, cursor);
+  ASSERT_TRUE(slot.ok()) << slot.status().to_string();
+  proto::WriteData data;
+  data.op_id = write.op_id;
+  data.size = write.size;
+  data.shm_slot = slot.value();
+  ASSERT_TRUE(conn->send(proto::Method::kWriteData, data.op_id, encode(data),
+                         cursor)
+                  .ok());
+
+  auto completed = await_completions(*conn, 3);
+  ASSERT_EQ(completed.size(), 3u);
+  EXPECT_EQ(completed[kFarOpId].code(), StatusCode::kInvalidArgument)
+      << completed[kFarOpId].to_string();
+  EXPECT_EQ(completed[1].code(), StatusCode::kInvalidArgument)
+      << completed[1].to_string();
+  EXPECT_EQ(completed[2].code(), StatusCode::kInvalidArgument)
+      << completed[2].to_string();
+  // The connection's dispatcher handles frames in order, so once this sync
+  // call returns the WriteData has been handled.
+  ASSERT_TRUE(conn->call(proto::Method::kHealthCheck, Bytes{}, cursor).ok());
+  EXPECT_EQ(segment->used(), 0u);
 }
 
 // --- 4. remote: recovery matrix + event poisoning ----------------------------

@@ -331,8 +331,8 @@ TEST(EdfScheduler, NeverInvertsTwoDeadlinedTasks) {
   a.deadline = vt::Time::millis(500);
   Task b = make_task(2, "b", vt::Time::millis(20));
   b.deadline = vt::Time::millis(100);
-  ASSERT_TRUE(queue->push(a).ok());
-  ASSERT_TRUE(queue->push(b).ok());
+  ASSERT_TRUE(queue->push(std::move(a)).ok());
+  ASSERT_TRUE(queue->push(std::move(b)).ok());
   EXPECT_EQ(pop_one(*queue, gate).client_id, "b");
   EXPECT_EQ(pop_one(*queue, gate).client_id, "a");
 }
@@ -349,7 +349,7 @@ TEST(EdfScheduler, DrainIsDeadlineSorted) {
   for (int deadline_ms : deadlines_ms) {
     Task task = make_task(seq++, "c", vt::Time::millis(110 - deadline_ms));
     task.deadline = vt::Time::millis(deadline_ms);
-    ASSERT_TRUE(queue->push(task).ok());
+    ASSERT_TRUE(queue->push(std::move(task)).ok());
   }
   vt::Time last = vt::Time::zero();
   for (std::size_t i = 0; i < std::size(deadlines_ms); ++i) {
@@ -370,7 +370,7 @@ TEST(EdfScheduler, UndeadlinedTasksSortBehindByReadyStamp) {
   ASSERT_TRUE(queue->push(make_task(2, "a", vt::Time::millis(10))).ok());
   Task urgent = make_task(3, "b", vt::Time::millis(40));
   urgent.deadline = vt::Time::millis(60);
-  ASSERT_TRUE(queue->push(urgent).ok());
+  ASSERT_TRUE(queue->push(std::move(urgent)).ok());
   EXPECT_EQ(pop_one(*queue, gate).seq, 3u);
   EXPECT_EQ(pop_one(*queue, gate).seq, 2u);
   EXPECT_EQ(pop_one(*queue, gate).seq, 1u);
@@ -452,7 +452,7 @@ TEST(BatchingScheduler, ProgramTaskIsABatchBarrier) {
   program.ready = vt::Time::millis(2);
   program.is_program = true;
   program.bitstream_id = "bits-2";
-  ASSERT_TRUE(queue->push(program).ok());
+  ASSERT_TRUE(queue->push(std::move(program)).ok());
   ASSERT_TRUE(
       queue->push(make_batchable(3, "b", vt::Time::millis(3), "mm")).ok());
   PopResult first = queue->pop_next_safe(gate);
@@ -505,7 +505,7 @@ TEST(BatchingScheduler, PerClientCompletionOrderHoldsAcrossDrain) {
                                  vt::Time::millis(1 + wave),
                                  compatible ? "mm" : "sobel");
       task.seq = seq++;
-      ASSERT_TRUE(queue->push(task).ok());
+      ASSERT_TRUE(queue->push(std::move(task)).ok());
     }
   }
   std::map<std::string, std::uint64_t> last_seq;

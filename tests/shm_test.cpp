@@ -222,6 +222,51 @@ TEST(Segment, ClientAndManagerThreadsShareOneSegment) {
   EXPECT_EQ(segment.slot_count(), 0u);
 }
 
+// Payloads of 64 B or less live inline in a slot's storage, so a view is
+// only valid until release() if the slot itself stays put while the other
+// thread stages and fetches other slots.
+TEST(Segment, SmallSlotViewsStayValidWhileOtherSlotsChurn) {
+  Segment segment(copy_model(), 8 << 20);
+  constexpr int kRounds = 2000;
+  constexpr std::uint64_t kSmall = 48;
+  std::thread manager([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      auto slot = segment.allocate(kSmall);
+      ASSERT_TRUE(slot.ok());
+      auto writable = segment.writable_view(slot.value());
+      ASSERT_TRUE(writable.ok());
+      const auto fill = static_cast<std::uint8_t>(i);
+      for (std::uint8_t& byte : writable.value()) {
+        byte = fill;
+        std::this_thread::yield();
+      }
+      auto view = segment.view(slot.value());
+      ASSERT_TRUE(view.ok());
+      ASSERT_EQ(view.value().data(), writable.value().data());
+      for (std::uint8_t byte : view.value()) ASSERT_EQ(byte, fill);
+      ASSERT_TRUE(segment.release(slot.value()).ok());
+    }
+  });
+  vt::Cursor cursor;
+  Bytes data(kSmall, 0x5A);
+  Bytes out(kSmall);
+  std::int64_t slots[4] = {};
+  for (int i = 0; i < kRounds; ++i) {
+    for (std::int64_t& slot : slots) {
+      auto staged = segment.stage(ByteSpan{data}, cursor);
+      ASSERT_TRUE(staged.ok());
+      slot = staged.value();
+    }
+    for (std::int64_t slot : slots) {
+      ASSERT_TRUE(segment.fetch(slot, MutableByteSpan{out}, cursor).ok());
+      ASSERT_EQ(out, data);
+    }
+  }
+  manager.join();
+  EXPECT_EQ(segment.used(), 0u);
+  EXPECT_EQ(segment.slot_count(), 0u);
+}
+
 TEST(Segment, ZeroSizeSlotRejected) {
   Segment segment(copy_model(), 1 << 20);
   EXPECT_FALSE(segment.allocate(0).ok());
